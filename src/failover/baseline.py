@@ -1,11 +1,11 @@
 """Min-sum fully-disjoint path pairs and crankback-routing rules.
 
-The disjoint pair computation follows the arc-reversal scheme: take the
-shortest path, reverse its arcs with negated weights, find a second shortest
-path with a negative-arc-capable engine, then cancel interlacing arc pairs
-and decompose the remainder into the two final paths.  A shortest-path-tree
-reweighting variant (non-negative residual, plain Dijkstra) is kept as an
-internal cross-check; both are exact and must agree on the pair total.
+Pairs come from Suurballe's method.  One shortest-path tree per source gives
+every arc a non-negative reduced cost; per destination, a plain Dijkstra
+over those costs, with the first path's arcs reversed at zero cost, finds
+the second path, and cancelling interlacing arc pairs leaves the final two.
+The arc-reversal scheme (negated weights, Bellman-Ford) is the reference the
+tests compare against; no build runs it.
 
 Crankback rules mirror how fully-disjoint protection behaves in practice:
 primary-path rules match on (source, destination, incoming port); a node
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 ArcMap = dict[int, list[tuple[int, float]]]
+# A source's preferred shortest paths and its arcs with reduced costs.
+SourceTree = tuple[dict[int, tuple[int, ...]], ArcMap]
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,7 @@ class DisjointPair:
 
 
 def _arc_map(t: Topology) -> ArcMap:
-    arcs: ArcMap = {u: [] for u in t.nodes}
-    for link in t.links:
-        arcs[link.u].append((link.v, link.weight))
-        arcs[link.v].append((link.u, link.weight))
-    for lst in arcs.values():
-        lst.sort()
-    return arcs
+    return {u: [(v, w) for v, w, _link in t.neighbors(u)] for u in t.nodes}
 
 
 def _split_arc_map(t: Topology) -> ArcMap:
@@ -79,12 +75,7 @@ def _split_arc_map(t: Topology) -> ArcMap:
     arcs: ArcMap = {}
     for x in t.nodes:
         arcs[2 * x] = [(2 * x + 1, 0.0)]
-        arcs[2 * x + 1] = []
-    for link in t.links:
-        arcs[2 * link.u + 1].append((2 * link.v, link.weight))
-        arcs[2 * link.v + 1].append((2 * link.u, link.weight))
-    for lst in arcs.values():
-        lst.sort()
+        arcs[2 * x + 1] = [(2 * v, w) for v, w, _link in t.neighbors(x)]
     return arcs
 
 
@@ -118,55 +109,92 @@ def _simplify(walk: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _two_disjoint_paths(
-    arcs: ArcMap, s: int, d: int, reweight: bool
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    dist1, paths1 = lex_dijkstra(lambda u: arcs.get(u, ()), s)
-    if d not in paths1:
+def _source_tree(arcs: ArcMap, src: int) -> SourceTree:
+    """What all destinations of ``src`` share.  The reduced costs
+    ``(w + dist[u]) - dist[v]`` are exactly >= 0 in floats (dist[v] is the
+    min over candidates that include dist[u] + w)."""
+    dist, paths = lex_dijkstra(arcs.__getitem__, src)
+    reduced = {
+        u: [(v, (w + dist[u]) - dist[v]) for v, w in lst if v in dist]
+        for u, lst in arcs.items()
+        if u in dist
+    }
+    return paths, reduced
+
+
+def _disjoint_pair(
+    t: Topology, s: int, d: int, node_disjoint: bool, tree: SourceTree
+) -> Optional[DisjointPair]:
+    """Min-sum pair for ``s``-``d`` by Suurballe's method, from the
+    :func:`_source_tree` of ``s`` (of ``2s+1`` in the split arc map when
+    ``node_disjoint``).  The second path is a plain Dijkstra over the
+    reduced costs, with the first path's arcs replaced by zero-cost
+    reversals; only the arc lists at the first path's nodes change."""
+    if s == d:
+        raise ValueError("source and destination must differ")
+    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
+    paths, reduced = tree
+    p1 = paths.get(dst)
+    if p1 is None:
         return None
-    p1 = paths1[d]
+    residual = dict(reduced)
+    for prev, u, nxt in zip((None,) + p1, p1, p1[1:] + (None,)):
+        # The anti-parallel arc of a used link is replaced, not kept, so a
+        # physical link is never reused.
+        lst = [(v, w) for v, w in residual[u] if v != nxt and v != prev]
+        if prev is not None:
+            lst.append((prev, 0.0))
+        residual[u] = lst
+    _, paths2 = lex_dijkstra(residual.__getitem__, src, (dst,))
+    if dst not in paths2:
+        return None
+    return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
+
+
+def _arc_reversal_pair(
+    t: Topology, s: int, d: int, node_disjoint: bool
+) -> Optional[DisjointPair]:
+    """Bhandari's method: reverse the first path's arcs with negated weights
+    and find the second path with Bellman-Ford.  Reference engine only."""
+    if s == d:
+        raise ValueError("source and destination must differ")
+    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
+    arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
+    _, paths1 = lex_dijkstra(lambda u: arcs.get(u, ()), src)
+    if dst not in paths1:
+        return None
+    p1 = paths1[dst]
     p1_arcs = list(zip(p1, p1[1:]))
     p1_set = set(p1_arcs)
     anti = {(b, a) for a, b in p1_arcs}
-
+    # The anti-parallel direction of a used link is replaced, not kept, so a
+    # physical link is never reused.
     residual: ArcMap = {}
-    if not reweight:
-        # Arc reversal with negated weights; the anti-parallel direction of a
-        # used link is replaced, not kept, so a physical link is never reused.
-        for u, lst in arcs.items():
-            residual[u] = [
-                (v, w) for v, w in lst if (u, v) not in p1_set and (u, v) not in anti
-            ]
-        for a, b in p1_arcs:
-            residual.setdefault(b, []).append((a, -_arc_weight(arcs, a, b)))
-        dist2, paths2 = queued_bellman_ford(lambda u: residual.get(u, ()), s)
-        if d in dist2:
-            exact = bellman_ford_distances(lambda u: residual.get(u, ()), s)[d]
-            if dist2[d] - exact > 1e-9 * max(1.0, abs(exact)):
-                raise AssertionError(
-                    "path-restricted Bellman-Ford missed the residual optimum"
-                )
-    else:
-        # Shortest-path-tree reweighting: w' = (w + dist[u]) - dist[v] is
-        # exactly >= 0 in floats (dist[v] is the min over candidates that
-        # include dist[u] + w), so plain Dijkstra applies; reversed arcs of
-        # the first path get the zero weight of their forward counterpart.
-        for u, lst in arcs.items():
-            if u not in dist1:
-                continue
-            residual[u] = [
-                (v, (w + dist1[u]) - dist1[v])
-                for v, w in lst
-                if v in dist1 and (u, v) not in p1_set and (u, v) not in anti
-            ]
-        for a, b in p1_arcs:
-            residual.setdefault(b, []).append((a, 0.0))
-        _, paths2 = lex_dijkstra(lambda u: residual.get(u, ()), s)
-    if d not in paths2:
+    for u, lst in arcs.items():
+        residual[u] = [
+            (v, w) for v, w in lst if (u, v) not in p1_set and (u, v) not in anti
+        ]
+    for a, b in p1_arcs:
+        residual.setdefault(b, []).append((a, -_arc_weight(arcs, a, b)))
+    dist2, paths2 = queued_bellman_ford(lambda u: residual.get(u, ()), src)
+    if dst in dist2:
+        exact = bellman_ford_distances(lambda u: residual.get(u, ()), src)[dst]
+        if dist2[dst] - exact > 1e-9 * max(1.0, abs(exact)):
+            raise AssertionError(
+                "path-restricted Bellman-Ford missed the residual optimum"
+            )
+    if dst not in paths2:
         return None
-    p2 = paths2[d]
-    p2_set = set(zip(p2, p2[1:]))
+    return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
 
+
+def _untangle(
+    s: int, d: int, p1: tuple[int, ...], p2: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cancel the arc pairs where ``p2`` runs back over ``p1`` and decompose
+    the remaining arcs into two s-d paths."""
+    p1_set = set(zip(p1, p1[1:]))
+    p2_set = set(zip(p2, p2[1:]))
     cancelled = {(a, b) for (a, b) in p1_set if (b, a) in p2_set}
     remaining = (p1_set - cancelled) | (p2_set - {(b, a) for (a, b) in cancelled})
     out_map: dict[int, list[int]] = {}
@@ -185,55 +213,34 @@ def _two_disjoint_paths(
     return result[0], result[1]
 
 
-def _path_weight(t: Topology, path: tuple[int, ...]) -> float:
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        link = t.link_between(a, b)
-        assert link is not None, f"path uses missing link {a}-{b}"
-        total += link.weight
-    return total
-
-
-def _make_pair(t: Topology, a: tuple[int, ...], b: tuple[int, ...]) -> DisjointPair:
-    wa, wb = _path_weight(t, a), _path_weight(t, b)
+def _make_pair(
+    t: Topology, paths: tuple[tuple[int, ...], tuple[int, ...]], node_disjoint: bool
+) -> DisjointPair:
+    a, b = (_merge_split_path(p) for p in paths) if node_disjoint else paths
+    wa, wb = (sum(link.weight for link in _links_along(t, p)) for p in (a, b))
     if (wa, a) <= (wb, b):
         return DisjointPair(a, wa, b, wb)
     return DisjointPair(b, wb, a, wa)
 
 
-def _disjoint_pair(
-    t: Topology, s: int, d: int, node_disjoint: bool, reweight: bool
-) -> Optional[DisjointPair]:
-    if s == d:
-        raise ValueError("source and destination must differ")
-    if node_disjoint:
-        res = _two_disjoint_paths(_split_arc_map(t), 2 * s + 1, 2 * d, reweight)
-        if res is None:
-            return None
-        return _make_pair(t, _merge_split_path(res[0]), _merge_split_path(res[1]))
-    res = _two_disjoint_paths(_arc_map(t), s, d, reweight)
-    if res is None:
-        return None
-    return _make_pair(t, res[0], res[1])
-
-
 def bhandari_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
-    """Min-sum pair of link-disjoint s-d paths, or None if no pair exists."""
-    return _disjoint_pair(t, s, d, node_disjoint=False, reweight=False)
+    """Arc-reversal reference for :func:`suurballe_link_disjoint`."""
+    return _arc_reversal_pair(t, s, d, node_disjoint=False)
 
 
 def bhandari_node_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
-    """Min-sum pair of internally node-disjoint s-d paths, or None."""
-    return _disjoint_pair(t, s, d, node_disjoint=True, reweight=False)
+    """Arc-reversal reference for :func:`suurballe_node_disjoint`."""
+    return _arc_reversal_pair(t, s, d, node_disjoint=True)
 
 
 def suurballe_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
-    """Reweighting-based cross-check; same contract as the arc-reversal form."""
-    return _disjoint_pair(t, s, d, node_disjoint=False, reweight=True)
+    """Min-sum pair of link-disjoint s-d paths, or None if no pair exists."""
+    return _disjoint_pair(t, s, d, False, _source_tree(_arc_map(t), s))
 
 
 def suurballe_node_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
-    return _disjoint_pair(t, s, d, node_disjoint=True, reweight=True)
+    """Min-sum pair of internally node-disjoint s-d paths, or None."""
+    return _disjoint_pair(t, s, d, True, _source_tree(_split_arc_map(t), 2 * s + 1))
 
 
 def disjoint_rules(t: Topology, variant: str = "link") -> ForwardingMatrix:
@@ -249,10 +256,12 @@ def disjoint_rules(t: Topology, variant: str = "link") -> ForwardingMatrix:
         raise ValueError(f"variant must be 'link' or 'node', got {variant!r}")
     node_disjoint = variant == "node"
     fw = ForwardingMatrix(MODE_DISJOINT_NODE if node_disjoint else MODE_DISJOINT_LINK, t.n)
+    arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
     fallback_trees = None
     for s in t.nodes:
+        tree = _source_tree(arcs, 2 * s + 1 if node_disjoint else s)
         for d in range(s + 1, t.n):
-            pair = _disjoint_pair(t, s, d, node_disjoint, reweight=False)
+            pair = _disjoint_pair(t, s, d, node_disjoint, tree)
             if pair is None:
                 if fallback_trees is None:
                     fallback_trees = all_shortest_trees(t)

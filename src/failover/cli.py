@@ -6,9 +6,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .dataplane import simulate
 from .metrics import (
+    _GENERATORS,
     ALL_VARIANTS,
     ExperimentConfig,
     build_variant,
@@ -16,21 +18,7 @@ from .metrics import (
     run_experiment,
 )
 from .rules import ForwardingMatrix
-from .topology import (
-    FailureScenario,
-    load_topology,
-    save_topology,
-    generate_erdos_renyi,
-    generate_lattice,
-    generate_waxman,
-    unit_weights,
-)
-
-_GENERATORS = {
-    "er": generate_erdos_renyi,
-    "lattice": generate_lattice,
-    "waxman": generate_waxman,
-}
+from .topology import FailureScenario, Topology, load_topology, save_topology, unit_weights
 
 
 def _parse_scenario(text: str) -> FailureScenario:
@@ -47,8 +35,32 @@ def _parse_scenario(text: str) -> FailureScenario:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _simulate_input_error(t: Topology, args) -> Optional[str]:
+    """Why ``args`` name something ``t`` does not have, or None."""
+    for end in (args.src, args.dst):
+        if not 0 <= end < t.n:
+            return f"node {end} is not in the topology (nodes 0..{t.n - 1})"
+    if args.src == args.dst:
+        return "source and destination must differ"
+    scenario = args.scenario
+    if scenario.kind == "node" and not 0 <= scenario.v < t.n:
+        return f"scenario fails node {scenario.v}, which is not in the topology"
+    if scenario.kind == "link" and (
+        scenario.v >= t.n or t.link_between(scenario.u, scenario.v) is None
+    ):
+        return f"scenario fails link {scenario.u}-{scenario.v}, which is not in the topology"
+    return None
+
+
 def _cmd_generate(args) -> int:
-    t = _GENERATORS[args.kind](args.nodes, args.seed)
+    t = _GENERATORS[args.kind][1](args.nodes, args.seed)
     save_topology(t, args.out)
     print(f"wrote {args.out}: {t.n} nodes, {len(t.links)} links")
     return 0
@@ -73,6 +85,10 @@ def _cmd_simulate(args) -> int:
     t = load_topology(args.topology)
     if args.unweighted:
         t = unit_weights(t)
+    error = _simulate_input_error(t, args)
+    if error is not None:
+        print(f"failover simulate: {error}", file=sys.stderr)
+        return 2
     with open(args.matrix, "r", encoding="utf-8") as fh:
         fw = ForwardingMatrix.from_json(json.load(fh), t)
     trace = simulate(fw, t, args.scenario, args.src, args.dst)
@@ -164,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", help="comma-separated variant names")
     p.add_argument("--no-optimize", action="store_true")
     p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--csv", help="CSV output path (default: stdout)")
     p.add_argument("--json", help="full JSON report path")
     p.set_defaults(func=_cmd_evaluate)

@@ -274,6 +274,8 @@ def _run_once(args) -> tuple[list[MetricsRow], list[str]]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Generate, build, simulate, and aggregate; deterministic per seed."""
     network = config.network_name()
+    if config.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
     master = random.Random(config.seed)
     tasks = []
     for size in config.sizes:

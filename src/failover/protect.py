@@ -276,7 +276,6 @@ def optimize(fw: ForwardingMatrix, t: Topology) -> ForwardingMatrix:
                 if table.get(wildcard) == table[match]:
                     del table[match]
     out.groups = dict(fw.groups)
-    out._group_index = dict(fw._group_index)
     out.prune_unreferenced_groups()
     out.uncovered = list(fw.uncovered)
     out.stats = dict(fw.stats)

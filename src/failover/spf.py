@@ -10,9 +10,12 @@ makes every downstream artifact (affected sets, label pop points, metrics)
 a pure function of the topology, and it composes: the suffix of a preferred
 path is the preferred path of its own origin.
 
+``lex_dijkstra`` is the one Dijkstra loop: ``shortest_tree`` runs it over a
+topology view and the disjoint-pair baselines over their arc maps.  The
+queued Bellman-Ford and Floyd-Warshall are references that no build runs.
 Distances are exact minima over left-associated float sums, so Dijkstra and
 the queued Bellman-Ford agree bit-for-bit; Floyd-Warshall associates sums
-differently and is used only as a tolerance-checked cross-validation oracle.
+differently and is compared with a tolerance.
 """
 
 from __future__ import annotations
@@ -75,12 +78,6 @@ class ShortestPathTree:
         self.next_link = next_link
         self.unreachable = unreachable
 
-    def path(self, dst: int) -> tuple[int, ...]:
-        return self.paths[dst]
-
-    def __contains__(self, dst: int) -> bool:
-        return dst in self.dist
-
 
 def shortest_tree(
     t: Topology,
@@ -97,35 +94,15 @@ def shortest_tree(
     """
     if counter is not None:
         counter.count += 1
-    view = t.view(excluded)
-    want: Optional[set[int]] = None
-    if targets is not None:
-        want = {d for d in targets if d != src}
-    dist: dict[int, float] = {}
-    paths: dict[int, tuple[int, ...]] = {}
-    if want is None or want:
-        heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
-        while heap:
-            d, path = heappop(heap)
-            node = path[-1]
-            if node in dist:
-                continue
-            dist[node] = d
-            paths[node] = path
-            if want is not None:
-                want.discard(node)
-                if not want:
-                    break
-            for nb, w, _link in view.neighbors(node):
-                if nb not in dist:
-                    heappush(heap, (d + w, path + (nb,)))
+    want = None if targets is None else set(targets)
+    dist, paths = lex_dijkstra(t.view(excluded).neighbors, src, want)
     next_link: dict[int, Link] = {}
     for dst, path in paths.items():
         if dst != src:
             link = t.link_between(src, path[1])
             assert link is not None
             next_link[dst] = link
-    unreachable = frozenset(want) if want else frozenset()
+    unreachable = frozenset(want.difference(dist)) if want else frozenset()
     return ShortestPathTree(src, dist, paths, next_link, unreachable)
 
 
@@ -167,12 +144,20 @@ def all_to_all(
 
 
 def lex_dijkstra(
-    arcs_of: Callable[[int], Iterable[tuple[int, float]]],
+    arcs_of: Callable[[int], Iterable[tuple]],
     src: int,
+    targets: Optional[Iterable[int]] = None,
 ) -> tuple[dict[int, float], dict[int, tuple[int, ...]]]:
-    """Tie-broken Dijkstra over an arbitrary non-negative arc function."""
+    """Tie-broken Dijkstra over an arbitrary non-negative arc function.
+
+    ``arcs_of(u)`` yields ``(v, weight, ...)`` tuples; items after the
+    weight are ignored.  If ``targets`` is given the search stops once every
+    target is settled; the nodes it did settle carry the unrestricted run's
+    results.
+    """
     dist: dict[int, float] = {}
     paths: dict[int, tuple[int, ...]] = {}
+    want = None if targets is None else set(targets)
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
     while heap:
         d, path = heappop(heap)
@@ -181,9 +166,14 @@ def lex_dijkstra(
             continue
         dist[node] = d
         paths[node] = path
-        for nb, w in arcs_of(node):
+        if want is not None:
+            want.discard(node)
+            if not want:
+                break
+        for arc in arcs_of(node):
+            nb = arc[0]
             if nb not in dist:
-                heappush(heap, (d + w, path + (nb,)))
+                heappush(heap, (d + arc[1], path + (nb,)))
     return dist, paths
 
 

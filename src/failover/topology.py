@@ -53,6 +53,8 @@ class Link:
             u, v = self.v, self.u
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
+        if not math.isfinite(self.weight):
+            raise ValueError(f"non-finite weight {self.weight} on link {self.u}-{self.v}")
         if self.weight < 0:
             raise ValueError(f"negative weight {self.weight} on link {self.u}-{self.v}")
 
@@ -401,6 +403,8 @@ def loads_topology(text: str) -> Topology:
             raise TopologyFormatError(line_no, f"node id out of range [0,{n})")
         if u == v:
             raise TopologyFormatError(line_no, f"self-loop at node {u}")
+        if not math.isfinite(w):
+            raise TopologyFormatError(line_no, f"non-finite weight {w}")
         if w < 0:
             raise TopologyFormatError(line_no, f"negative weight {w}")
         pair = (u, v) if u < v else (v, u)

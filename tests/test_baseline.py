@@ -15,7 +15,14 @@ from failover.baseline import (
 )
 from failover.dataplane import simulate
 from failover.spf import shortest_tree
-from failover.topology import FailureScenario, NO_FAILURE, Topology, generate_erdos_renyi
+from failover.topology import (
+    FailureScenario,
+    NO_FAILURE,
+    Topology,
+    generate_erdos_renyi,
+    generate_lattice,
+    unit_weights,
+)
 
 from conftest import (
     complete,
@@ -125,6 +132,32 @@ class TestSuurballeCrossCheck:
                     assert (a is None) == (b is None)
                     if a is not None:
                         assert a.total == pytest.approx(b.total, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("node_disjoint", [False, True])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: unit_weights(generate_erdos_renyi(16, 2)),
+        lambda: unit_weights(generate_lattice(25, 1)),
+        lambda: generate_erdos_renyi(16, 2),
+    ],
+    ids=["unit-er16", "unit-lattice5x5", "er16"],
+)
+def test_production_pairs_equal_arc_reversal_reference(make, node_disjoint):
+    # Exact paths, not totals: ties under unit weights are where the two
+    # engines' tie-breaks could drift apart.
+    t = make()
+    reference = bhandari_node_disjoint if node_disjoint else bhandari_link_disjoint
+    production = suurballe_node_disjoint if node_disjoint else suurballe_link_disjoint
+    for s in t.nodes:
+        for d in t.nodes:
+            if s == d:
+                continue
+            a, b = reference(t, s, d), production(t, s, d)
+            assert (a is None) == (b is None), (s, d)
+            if a is not None:
+                assert (a.primary, a.backup) == (b.primary, b.backup), (s, d)
 
 
 class TestDisjointRules:

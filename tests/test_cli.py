@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from failover.cli import main
 from failover.metrics import CSV_HEADER
 from failover.topology import load_topology
@@ -90,3 +92,41 @@ def test_evaluate_with_config_file(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("lattice,per-node,9,")
+
+
+def test_simulate_rejects_elements_not_in_topology(tmp_path, capsys):
+    topo = tmp_path / "topo.txt"
+    main(["generate", "--kind", "er", "-n", "9", "--seed", "1", "--out", str(topo)])
+    matrix = tmp_path / "matrix.json"
+    main(["compute", "--topology", str(topo), "--variant", "per-link", "--out", str(matrix)])
+    t = load_topology(topo)
+    absent = next(f"link:{u}-{v}" for u in t.nodes for v in t.nodes
+                  if u < v and t.link_between(u, v) is None)
+    for scenario, src, dst in ((absent, 0, 1), ("link:0-99", 0, 1), ("node:99", 0, 1),
+                               ("none", 0, 9), ("none", 2, 2)):
+        capsys.readouterr()
+        code = main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
+                     "--scenario", scenario, "--src", str(src), "--dst", str(dst)])
+        captured = capsys.readouterr()
+        assert code == 2, scenario
+        assert captured.out == ""
+        assert captured.err.startswith("failover simulate: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_evaluate_rejects_fewer_than_one_job(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--generator", "lattice", "--sizes", "9", "--runs", "1",
+              "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_generate_accepts_every_harness_generator(tmp_path):
+    from failover.metrics import _GENERATORS
+
+    for kind in _GENERATORS:
+        topo = tmp_path / f"{kind}.txt"
+        assert main(["generate", "--kind", kind, "-n", "9", "--seed", "1",
+                     "--out", str(topo)]) == 0, kind
+        assert load_topology(topo).n == 9

@@ -194,3 +194,9 @@ def test_generation_failure_is_noted_and_run_skipped(monkeypatch):
     assert report.rows == []
     assert len(report.notes) == 2
     assert "skipped" in report.notes[0]
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(ExperimentConfig(generator="lattice", sizes=(9,), runs=1, jobs=jobs))

@@ -47,6 +47,21 @@ class TestShortestTree:
         assert 2 not in tree.dist
         assert tree.unreachable == {2}
 
+    def test_early_stop_reports_only_unreached_targets(self):
+        # Two unit triangles joined by the bridge 2-3, which fails.
+        t = Topology(6, [Link(u, v, 1.0) for u, v in
+                         ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5))])
+        cut = FailureScenario.link_down(2, 3)
+        full = shortest_tree(t, 0, excluded=cut)
+        tree = shortest_tree(t, 0, excluded=cut, targets={0, 1, 4, 5})
+        assert tree.unreachable == {4, 5}
+        assert tree.paths == full.paths and tree.dist == full.dist
+        # Stopped once node 1 settled: node 2 is left unsettled, and since it
+        # is not a target it is not reported unreachable either.
+        tree = shortest_tree(t, 0, excluded=cut, targets={1})
+        assert tree.paths == {0: (0,), 1: (0, 1)}
+        assert tree.unreachable == frozenset()
+
     def test_early_stop_returns_same_distances(self):
         t = generate_erdos_renyi(16, 5)
         full = shortest_tree(t, 0)

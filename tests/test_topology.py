@@ -42,6 +42,11 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(0, 1, -0.1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            Link(0, 1, weight)
+
     def test_other_requires_endpoint(self):
         with pytest.raises(ValueError):
             Link(0, 1, 1.0).other(2)
@@ -237,6 +242,8 @@ class TestEdgeListFormat:
             ("3\n0 1 1.0\n1 0 2.0\n", 3),  # duplicate link
             ("3\n1 1 1.0\n", 2),  # self-loop
             ("3\n0 1 -1.0\n", 2),  # negative weight
+            ("3\n0 1 nan\n1 2 1\n0 2 inf", 2),  # NaN weight
+            ("3\n0 1 1\n1 2 1\n0 2 inf", 4),  # infinite weight
             ("3\n0 5 1.0\n", 2),  # node out of range
             ("x\n", 1),  # bad node count
         ],
