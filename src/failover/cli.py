@@ -60,7 +60,11 @@ def _simulate_input_error(t: Topology, args) -> Optional[str]:
 
 
 def _cmd_generate(args) -> int:
-    t = _GENERATORS[args.kind][1](args.nodes, args.seed)
+    try:
+        t = _GENERATORS[args.kind][1](args.nodes, args.seed)
+    except ValueError as exc:
+        print(f"failover generate: {exc}", file=sys.stderr)
+        return 2
     save_topology(t, args.out)
     print(f"wrote {args.out}: {t.n} nodes, {len(t.links)} links")
     return 0
@@ -111,19 +115,22 @@ def _cmd_evaluate(args) -> int:
     settings = _read_config_file(args.config) if args.config else {}
     generator = args.generator or settings.get("generator", "er")
     sizes = args.sizes or settings.get("sizes", "9,16,25")
-    runs = args.runs if args.runs is not None else int(settings.get("runs", "10"))
-    seed = args.seed if args.seed is not None else int(settings.get("seed", "0"))
     variants = args.variants or settings.get("variants", ",".join(ALL_VARIANTS))
-    config = ExperimentConfig(
-        generator=generator,
-        sizes=tuple(int(s) for s in str(sizes).split(",")),
-        runs=runs,
-        seed=seed,
-        variants=tuple(v.strip() for v in str(variants).split(",")),
-        optimized=not args.no_optimize,
-        unweighted=args.unweighted or settings.get("unweighted", "") == "true",
-        jobs=args.jobs,
-    )
+    try:
+        config = ExperimentConfig(
+            generator=generator,
+            sizes=tuple(int(s) for s in str(sizes).split(",")),
+            runs=args.runs if args.runs is not None else int(settings.get("runs", "10")),
+            seed=args.seed if args.seed is not None else int(settings.get("seed", "0")),
+            variants=tuple(v.strip() for v in str(variants).split(",")),
+            optimized=not args.no_optimize,
+            unweighted=args.unweighted or settings.get("unweighted", "") == "true",
+            jobs=args.jobs,
+        )
+        config.validate()
+    except ValueError as exc:
+        print(f"failover evaluate: {exc}", file=sys.stderr)
+        return 2
     report = run_experiment(config)
     csv_text = report.to_csv()
     if args.csv:
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--generator", choices=sorted(_GENERATORS))
     p.add_argument("--sizes", help="comma-separated node counts")
-    p.add_argument("--runs", type=int)
+    p.add_argument("--runs", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--variants", help="comma-separated variant names")
     p.add_argument("--no-optimize", action="store_true")

@@ -1,6 +1,6 @@
 """Deterministic forwarding simulator.
 
-Walks one packet through a :class:`ForwardingMatrix` under a single failure
+Walks one packet through a forwarding matrix under a single failure
 scenario, honoring fast-failover group semantics (first bucket with a live
 watched link wins) and label push/pop/rewrite actions, and records the exact
 trace.
@@ -18,12 +18,19 @@ A trace ends delivered, dropped (explicit drop, no matching rule, or the
 selected output link is dead; packets never traverse dead links), or
 loop-detected when the ``(node, label, incoming link)`` state repeats.
 Loops indicate a rule-computation bug and are reported as their own class.
+
+``simulate`` walks either matrix form.  On a :class:`ForwardingMatrix` it is
+the reference walk over ``Match`` keys, used for single packets.  On a
+:class:`CompiledMatrix` (see :func:`compile_matrix`) it runs an int-keyed
+walk that probes the same tiers in the same order and returns the same
+trace; ``metrics.measure`` compiles each matrix once per call and walks
+every trace of that call through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .rules import (
     Action,
@@ -39,7 +46,7 @@ from .rules import (
 )
 from .topology import FailureScenario, Link, Topology
 
-__all__ = ["TraceStep", "Trace", "simulate", "crankback_of"]
+__all__ = ["TraceStep", "Trace", "CompiledMatrix", "compile_matrix", "simulate", "crankback_of"]
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -110,19 +117,25 @@ def _lookup(fw: ForwardingMatrix, node: int, label: FailureLabel, dst: int,
 
 
 def simulate(
-    fw: ForwardingMatrix,
+    fw: Union[ForwardingMatrix, CompiledMatrix],
     t: Topology,
     scenario: FailureScenario,
     src: int,
     dst: int,
 ) -> Trace:
-    """Forward one packet from ``src`` to ``dst`` under ``scenario``."""
+    """Forward one packet from ``src`` to ``dst`` under ``scenario``.
+
+    ``fw`` is a :class:`ForwardingMatrix` (the reference walk) or the
+    :class:`CompiledMatrix` of one (the same trace, faster per hop).
+    """
     if src == dst:
         raise ValueError("source and destination must differ")
     trace = Trace(src, dst, scenario)
     if not scenario.node_is_live(src):
         trace.reason = "source is the failed node"
         return trace
+    if isinstance(fw, CompiledMatrix):
+        return _walk_compiled(fw, trace)
     node = src
     label = PRIMARY
     in_link: Optional[Link] = None
@@ -172,6 +185,261 @@ def _fire_group(fw: ForwardingMatrix, group_id: int, scenario: FailureScenario):
         if bucket.watch is None or scenario.link_is_live(bucket.watch):
             return bucket.action
     return None
+
+
+# Compiled actions are tuples whose first item is their kind:
+#   (_FORWARD, label_id or -1 to keep the label, link, weight, link_id,
+#    pair_id, u, v)
+#   (_GROUP, buckets) with buckets of (watch_pair_id, watch_u, watch_v,
+#    compiled action), watch_pair_id None for a bucket that watches nothing
+#   (_DROP,)
+#   (_RAISE, exception type, message): the reference walk fails here.
+_FORWARD, _GROUP, _DROP, _RAISE = range(4)
+
+
+class CompiledMatrix:
+    """A :class:`ForwardingMatrix` with labels and links interned to ints.
+
+    ``tables[node]`` holds one entry per rule.  A rule on ``(label, dst)``
+    is keyed ``label_id * n_nodes + dst``; a rule that also keys on source or
+    incoming link is keyed ``-1 - ((label_id * n_nodes + dst) * n_nodes +
+    src) * n_in - (in_link_id + 1)``, ``in_link_id`` -1 for none, so the two
+    kinds never collide.  ``keyed[node]`` says whether the node has a rule
+    of the second kind.  ``fallbacks[label_id]`` are the label ids of the
+    wildcard and primary tiers of a packet carrying that label.  Link
+    liveness is decided on ``pair_id`` (one per node pair) and endpoints.
+    Built by :func:`compile_matrix` as a snapshot: it holds no reference to
+    the matrix, and a matrix changed later has to be compiled again.
+    """
+
+    __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n_nodes", "n_in")
+
+    def __init__(self, tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in):
+        self.tables = tables
+        self.keyed = keyed
+        self.labels = labels
+        self.fallbacks = fallbacks
+        self.pair_ids = pair_ids
+        self.n_nodes = n_nodes  # bound on every node id in a rule key
+        self.n_in = n_in  # number of link ids plus one
+
+
+def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
+    """Intern ``fw``'s labels and links and compile every rule and group once.
+
+    Links of ``t`` take the first link ids, in ``t.links`` order.  Compiling
+    never raises on a matrix the reference walk accepts: a rule that walk
+    would fail on (an unresolved or nested group) compiles to an action that
+    raises the same error when a packet reaches it.  Node ids in rule keys
+    must be non-negative ints, as in every :class:`Topology`.
+    """
+    label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
+    labels: list[FailureLabel] = [PRIMARY]
+    link_ids: dict[Link, int] = {}
+    pair_ids: dict[tuple[int, int], int] = {}
+    link_pairs: list[int] = []
+
+    def label_id(label: FailureLabel) -> int:
+        lid = label_ids.get(label)
+        if lid is None:
+            lid = label_ids[label] = len(labels)
+            labels.append(label)
+        return lid
+
+    def link_id(link: Link) -> int:
+        lid = link_ids.get(link)
+        if lid is None:
+            lid = link_ids[link] = len(link_pairs)
+            link_pairs.append(pair_ids.setdefault(link.pair, len(pair_ids)))
+        return lid
+
+    for link in t.links:
+        link_id(link)
+
+    compiled_actions: dict[Action, tuple] = {}
+    compiled_groups: dict[int, tuple] = {}
+
+    def group_of(group_id: int) -> tuple:
+        compiled = compiled_groups.get(group_id)
+        if compiled is None:
+            entry = fw.groups.get(group_id)
+            if entry is None:
+                compiled = (_RAISE, KeyError, group_id)
+            else:
+                buckets = []
+                for watch, bucket_action in entry.buckets:
+                    if isinstance(bucket_action, GroupRef):
+                        compiled_bucket = (
+                            _RAISE, AttributeError, "'GroupRef' object has no attribute 'link'")
+                    else:
+                        compiled_bucket = action_of(bucket_action)
+                    if watch is None:
+                        buckets.append((None, None, None, compiled_bucket))
+                    else:
+                        buckets.append(
+                            (link_pairs[link_id(watch)], watch.u, watch.v, compiled_bucket))
+                compiled = (_GROUP, tuple(buckets))
+            compiled_groups[group_id] = compiled
+        return compiled
+
+    def action_of(action: Action) -> tuple:
+        compiled = compiled_actions.get(action)
+        if compiled is not None:
+            return compiled
+        if isinstance(action, GroupRef):
+            return group_of(action.group_id)
+        if isinstance(action, Drop):
+            compiled = (_DROP,)
+        elif isinstance(action, (PushLabelOutput, RewriteLabelOutput)):
+            compiled = forward(label_id(action.label), action.link)
+        elif isinstance(action, PopLabelOutput):
+            compiled = forward(0, action.link)
+        else:
+            compiled = forward(-1, action.link)
+        compiled_actions[action] = compiled
+        return compiled
+
+    def forward(new_label: int, link: Link) -> tuple:
+        lid = link_id(link)
+        return (_FORWARD, new_label, link, link.weight, lid, link_pairs[lid], link.u, link.v)
+
+    # Intern every label and link first: the key radices depend on the totals.
+    n_nodes = 1
+    for table in fw.tables:
+        for match, action in table.items():
+            label_id(match.label)
+            if match.in_link is not None:
+                link_id(match.in_link)
+            action_of(action)
+            n_nodes = max(n_nodes, match.dst + 1, 1 if match.src is None else match.src + 1)
+    n_in = len(link_pairs) + 1
+    tables: list[dict[int, tuple]] = []
+    keyed: list[bool] = []
+    for table in fw.tables:
+        compiled_table: dict[int, tuple] = {}
+        node_keyed = False
+        for match, action in table.items():
+            base = label_ids[match.label] * n_nodes + match.dst
+            if match.src is None:
+                if match.in_link is None:
+                    compiled_table[base] = action_of(action)
+                # else: a rule without a source never matches a packet
+            else:
+                node_keyed = True
+                in_key = 0 if match.in_link is None else link_ids[match.in_link] + 1
+                compiled_table[-1 - (base * n_nodes + match.src) * n_in - in_key] = action_of(action)
+        tables.append(compiled_table)
+        keyed.append(node_keyed)
+
+    fallbacks = []
+    for label in labels:
+        tiers = []
+        if label.kind in ("link", "node"):
+            wildcard = label_ids.get(FailureLabel("anylink", -1, label.v))
+            if wildcard is not None:
+                tiers.append(wildcard)
+        if not label.is_primary:
+            tiers.append(0)
+        fallbacks.append(tuple(tiers))
+    return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in)
+
+
+def _walk_compiled(cm: CompiledMatrix, trace: Trace) -> Trace:
+    """The reference walk of :func:`simulate` over a compiled matrix, with
+    liveness tested on ints and crankback summed along the way."""
+    src, dst, scenario = trace.src, trace.dst, trace.scenario
+    dead_pair = cm.pair_ids.get((scenario.u, scenario.v), -1) if scenario.kind == "link" else -1
+    dead_node = scenario.v if scenario.kind == "node" else None
+    tables, keyed, labels, fallbacks = cm.tables, cm.keyed, cm.labels, cm.fallbacks
+    n_nodes, n_in = cm.n_nodes, cm.n_in
+    n_labels = len(labels)
+    # No rule key holds a node id outside [0, n_nodes).  Such a destination
+    # gets a stand-in that puts every probe past all rule keys, and such a
+    # source skips the keyed probes, so that no probe aliases another key.
+    dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
+    src_keyed = 0 <= src < n_nodes
+    steps = trace.steps
+    total = 0.0
+    crankback = 0.0
+    # Forward traversals not yet retraced, per directed arc 2*pair_id (from
+    # the lower endpoint) or 2*pair_id+1 (from the higher one).
+    unmatched: dict[int, int] = {}
+    seen: set[int] = set()
+    node = src
+    label = 0
+    in_link = -1
+    while node != dst:
+        # (node, label, in_link) as one int; in_link runs over -1..n_in-2.
+        state = (node * n_labels + label) * n_in + in_link
+        if state in seen:
+            trace.outcome = LOOP
+            trace.reason = "forwarding state repeated"
+            break
+        seen.add(state)
+        table = tables[node]
+        base = label * n_nodes + dst_key
+        action = None
+        if keyed[node] and src_keyed:
+            key = -1 - (base * n_nodes + src) * n_in
+            action = table.get(key - in_link - 1)
+            if action is None and in_link >= 0:
+                action = table.get(key)
+        if action is None:
+            action = table.get(base)
+            if action is None:
+                for tier in fallbacks[label]:
+                    action = table.get(tier * n_nodes + dst_key)
+                    if action is not None:
+                        break
+                else:
+                    trace.reason = "no matching rule"
+                    break
+        kind = action[0]
+        if kind == _GROUP:
+            for watch, watch_u, watch_v, bucket_action in action[1]:
+                if watch is None or (
+                    watch != dead_pair and watch_u != dead_node and watch_v != dead_node
+                ):
+                    action = bucket_action
+                    break
+            else:
+                trace.reason = "no live group bucket"
+                break
+            kind = action[0]
+        if kind != _FORWARD:
+            if kind == _DROP:
+                trace.reason = "drop rule"
+                break
+            raise action[1](action[2])
+        _, new_label, link, weight, link_id, pair, u, v = action
+        if new_label >= 0:
+            label = new_label
+        if pair == dead_pair or u == dead_node or v == dead_node:
+            trace.reason = f"output link {link} is dead"
+            break
+        steps.append(TraceStep(node, labels[label], link, weight))
+        total += weight
+        if node == u:
+            arc = 2 * pair
+            node = v
+        elif node == v:
+            arc = 2 * pair + 1
+            node = u
+        else:
+            raise ValueError(f"node {node} is not an endpoint of {link}")
+        back = unmatched.get(arc ^ 1)
+        if back:
+            unmatched[arc ^ 1] = back - 1
+            crankback += weight
+        else:
+            unmatched[arc] = unmatched.get(arc, 0) + 1
+        in_link = link_id
+    else:
+        steps.append(TraceStep(node, labels[label], None, 0.0))
+        trace.outcome = DELIVERED
+        trace.crankback_weight = crankback
+    trace.total_weight = total
+    return trace
 
 
 def crankback_of(trace: Trace) -> float:

@@ -20,7 +20,7 @@ from statistics import fmean
 from typing import Callable
 
 from .baseline import disjoint_rules
-from .dataplane import LOOP, simulate
+from .dataplane import LOOP, compile_matrix, simulate
 from .protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from .rules import MODE_DISJOINT_NODE, MODE_HYBRID, MODE_PER_NODE, ForwardingMatrix
 from .spf import all_shortest_trees
@@ -29,6 +29,8 @@ from .topology import (
     FailureScenario,
     GenerationError,
     Topology,
+    check_lattice_size,
+    check_node_count,
     generate_erdos_renyi,
     generate_lattice,
     generate_waxman,
@@ -44,6 +46,7 @@ __all__ = [
     "CSV_HEADER",
     "ALL_VARIANTS",
     "build_variant",
+    "check_size",
 ]
 
 CSV_HEADER = (
@@ -114,8 +117,13 @@ def _on_path_scenarios(mode: str, sequence: tuple[int, ...]) -> list[FailureScen
 
 
 def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> MetricsRow:
-    """Metrics for one forwarding configuration over one topology."""
+    """Metrics for one forwarding configuration over one topology.
+
+    ``fw`` is compiled once for this call (:func:`compile_matrix`) and every
+    trace walks the compiled form; nothing is kept after the call returns.
+    """
     trees = all_shortest_trees(t)
+    compiled = compile_matrix(fw, t)
     primary_ratios: list[float] = []
     backup_avgs: list[float] = []
     backup_mins: list[float] = []
@@ -132,7 +140,7 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
             if oracle is None:
                 uncovered += 1
                 continue
-            primary = simulate(fw, t, NO_FAILURE, s, d)
+            primary = simulate(compiled, t, NO_FAILURE, s, d)
             if primary.outcome == LOOP:
                 loops += 1
             if not primary.delivered:
@@ -142,7 +150,7 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
             pair_ratios: list[float] = []
             pair_cranks: list[float] = []
             for scenario in _on_path_scenarios(fw.mode, primary.node_sequence):
-                trace = simulate(fw, t, scenario, s, d)
+                trace = simulate(compiled, t, scenario, s, d)
                 if trace.outcome == LOOP:
                     loops += 1
                 if trace.delivered:
@@ -203,6 +211,23 @@ _GENERATORS: dict[str, tuple[str, Callable[[int, int], Topology]]] = {
     "waxman": ("waxman", generate_waxman),
 }
 
+# Per network: raises ValueError for a size its generator rejects.
+_SIZE_CHECKS: dict[str, Callable[[int], None]] = {
+    "erdos-renyi": check_node_count,
+    "lattice": check_lattice_size,
+    "waxman": check_node_count,
+}
+
+
+def check_size(generator: str, n: int) -> None:
+    """Raise ``ValueError`` unless generator ``generator`` can make ``n`` nodes."""
+    if generator not in _GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}")
+    try:
+        _SIZE_CHECKS[_GENERATORS[generator][0]](n)
+    except ValueError as exc:
+        raise ValueError(f"size {n}: {exc}") from None
+
 
 @dataclass
 class ExperimentConfig:
@@ -219,6 +244,20 @@ class ExperimentConfig:
         if self.generator not in _GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         return _GENERATORS[self.generator][0]
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for a configuration no run can carry out,
+        before anything is generated."""
+        self.network_name()
+        if self.runs < 1:
+            raise ValueError(f"runs must be at least 1, got {self.runs}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for variant in self.variants:
+            if variant not in ALL_VARIANTS:
+                raise ValueError(f"unknown variant {variant!r}")
+        for size in self.sizes:
+            check_size(self.generator, size)
 
 
 @dataclass
@@ -273,9 +312,8 @@ def _run_once(args) -> tuple[list[MetricsRow], list[str]]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Generate, build, simulate, and aggregate; deterministic per seed."""
+    config.validate()
     network = config.network_name()
-    if config.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
     master = random.Random(config.seed)
     tasks = []
     for size in config.sizes:

@@ -86,7 +86,8 @@ def shortest_tree(
     targets: Optional[Iterable[int]] = None,
     counter: Optional[SpCounter] = None,
 ) -> ShortestPathTree:
-    """Dijkstra from ``src`` over a filter view of ``t`` minus ``excluded``.
+    """Dijkstra from ``src`` over ``t``, or over a filter view of ``t`` minus
+    ``excluded`` when something is excluded.
 
     If ``targets`` is given the search may stop once all reachable targets
     are settled; their distances equal the unrestricted run's.  Unreachable
@@ -95,7 +96,8 @@ def shortest_tree(
     if counter is not None:
         counter.count += 1
     want = None if targets is None else set(targets)
-    dist, paths = lex_dijkstra(t.view(excluded).neighbors, src, want)
+    arcs_of = t.neighbors if excluded.kind == "none" else t.view(excluded).neighbors
+    dist, paths = lex_dijkstra(arcs_of, src, want)
     next_link: dict[int, Link] = {}
     for dst, path in paths.items():
         if dst != src:

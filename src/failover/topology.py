@@ -29,6 +29,8 @@ __all__ = [
     "generate_waxman",
     "waxman_attempt",
     "is_two_connected",
+    "check_node_count",
+    "check_lattice_size",
     "load_topology",
     "loads_topology",
     "save_topology",
@@ -213,9 +215,6 @@ class AdjacencyView:
 
     def neighbors(self, node: int) -> Iterator[tuple[int, float, Link]]:
         excluded = self.excluded
-        if excluded.kind == "none":
-            yield from self.base.neighbors(node)
-            return
         if not excluded.node_is_live(node):
             return
         for other, weight, link in self.base.neighbors(node):
@@ -280,6 +279,21 @@ def _draw_weight(rng: random.Random) -> float:
     return w
 
 
+def check_node_count(n: int) -> None:
+    """Raise ``ValueError`` unless the random generators accept ``n`` nodes."""
+    if n < 3:
+        raise ValueError("need at least 3 nodes")
+
+
+def check_lattice_size(n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` nodes form a square lattice of side
+    three or more."""
+    if n < 0 or math.isqrt(n) ** 2 != n:
+        raise ValueError(f"lattice size {n} is not a perfect square")
+    if n < 9:
+        raise ValueError("need at least a 3x3 lattice")
+
+
 def generate_erdos_renyi(
     n: int, seed: int, retry_budget: int = DEFAULT_RETRY_BUDGET
 ) -> Topology:
@@ -288,8 +302,7 @@ def generate_erdos_renyi(
     Each unordered pair is linked independently; link weights are uniform in
     (0, 1).  Identical ``(n, seed)`` always produce the identical topology.
     """
-    if n < 3:
-        raise ValueError("need at least 3 nodes")
+    check_node_count(n)
     p = 2.0 * math.log(n) / n
     rng = random.Random(seed)
     for _ in range(retry_budget):
@@ -309,11 +322,8 @@ def generate_erdos_renyi(
 def generate_lattice(n: int, seed: int) -> Topology:
     """Square i×i lattice, i = sqrt(n); interior degree 4, boundary nodes
     connected to their adjacent boundary neighbors.  Weights uniform (0, 1)."""
+    check_lattice_size(n)
     i = math.isqrt(n)
-    if i * i != n:
-        raise ValueError(f"lattice size {n} is not a perfect square")
-    if n < 9:
-        raise ValueError("need at least a 3x3 lattice")
     rng = random.Random(seed)
     links = []
     for r in range(i):
@@ -356,8 +366,7 @@ def generate_waxman(
     n: int, seed: int, retry_budget: int = DEFAULT_RETRY_BUDGET
 ) -> Topology:
     """Waxman graph (see :func:`waxman_attempt`), retried until two-connected."""
-    if n < 3:
-        raise ValueError("need at least 3 nodes")
+    check_node_count(n)
     rng = random.Random(seed)
     for _ in range(retry_budget):
         _pos, _dist, links = waxman_attempt(n, rng)

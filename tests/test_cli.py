@@ -130,3 +130,39 @@ def test_generate_accepts_every_harness_generator(tmp_path):
         assert main(["generate", "--kind", kind, "-n", "9", "--seed", "1",
                      "--out", str(topo)]) == 0, kind
         assert load_topology(topo).n == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--generator", "lattice", "--sizes", "10", "--runs", "1"],
+    ["evaluate", "--generator", "er", "--sizes", "9,2", "--runs", "1"],
+    ["evaluate", "--generator", "er", "--sizes", "9", "--runs", "1", "--variants", "fancy"],
+    ["generate", "--kind", "er", "-n", "2", "--seed", "1"],
+    ["generate", "--kind", "lattice", "-n", "10", "--seed", "1"],
+])
+def test_invalid_sizes_and_variants_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = argv + (["--out", str(out)] if argv[0] == "generate" else ["--csv", str(out)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"failover {argv[0]}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_evaluate_rejects_fewer_than_one_run(runs, tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--generator", "er", "--sizes", "9", "--runs", runs,
+              "--csv", str(csv_path)])
+    assert exc.value.code == 2
+    assert "--runs" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_evaluate_rejects_zero_runs_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("generator=er\nsizes=9\nruns=0\n")
+    csv_path = tmp_path / "out.csv"
+    assert main(["evaluate", "--config", str(cfg), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == "failover evaluate: runs must be at least 1, got 0\n"
+    assert not csv_path.exists()

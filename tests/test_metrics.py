@@ -200,3 +200,23 @@ def test_generation_failure_is_noted_and_run_skipped(monkeypatch):
 def test_rejects_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match="jobs"):
         run_experiment(ExperimentConfig(generator="lattice", sizes=(9,), runs=1, jobs=jobs))
+
+
+@pytest.mark.parametrize("runs", [0, -3])
+def test_rejects_fewer_than_one_run(runs):
+    with pytest.raises(ValueError, match="runs"):
+        run_experiment(ExperimentConfig(generator="er", sizes=(9,), runs=runs))
+
+
+@pytest.mark.parametrize("generator,size", [("lattice", 10), ("lattice", 4), ("er", 2),
+                                            ("waxman", 0)])
+def test_rejects_sizes_the_generator_cannot_make(generator, size, monkeypatch):
+    import failover.metrics as metrics
+
+    def unreachable(n, seed):
+        raise AssertionError("generated before the size was checked")
+
+    monkeypatch.setitem(metrics._GENERATORS, generator,
+                        (metrics._GENERATORS[generator][0], unreachable))
+    with pytest.raises(ValueError, match=f"size {size}"):
+        run_experiment(ExperimentConfig(generator=generator, sizes=(9, size), runs=1))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import math
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_finds_every_wrapped_name(monkeypatch):
@@ -19,3 +24,37 @@ def test_tracer_finds_every_wrapped_name(monkeypatch):
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("workload", ["evaluate-er", "protect-lattice", "compute-query"])
+def test_traced_pass_gives_a_number_for_every_layer_metric(workload, monkeypatch):
+    # A name can be present and still go unused: if ``measure`` stopped
+    # calling ``failover.metrics.simulate``, the dataplane metrics of a
+    # traced run would read null although every wrapper installed.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    plan = workloads.TINY_PLANS[workload]
+    seed = 1
+    items = workloads.generate(plan, seed)
+    rec = workloads.Recorder(workload)
+    rec.tracer = tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        mark = tracer.mark()
+        workloads.run_pass(plan, items, seed, rec, {}, True)
+        summary = tracer.summary(mark)
+    finally:
+        tracer.uninstall()
+    assert rec.failures == []
+
+    values = tracing.layer_metrics(tracer, summary)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    names = [metric["name"] for metric in declared if metric["name"] in values]
+    assert "dataplane.us_per_hop" in names
+    not_finite = {
+        name: values[name] for name in names
+        if not (isinstance(values[name], (int, float)) and math.isfinite(values[name]))
+    }
+    assert not_finite == {}
