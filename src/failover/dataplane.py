@@ -25,12 +25,27 @@ the reference walk over ``Match`` keys, used for single packets.  On a
 walk that probes the same tiers in the same order and returns the same
 trace; ``metrics.measure`` compiles each matrix once per call and walks
 every trace of that call through it.
+
+When no rule of a compiled matrix keys on source or incoming link (every
+protection matrix), the next hop under one scenario toward one destination
+depends only on ``(node, label)``.  The compiled walk then remembers, per
+scenario, the rest of every delivered or dropped walk from each state it
+passed, and a later walk that reaches such a state splices that suffix in
+instead of walking it.  A terminating suffix never revisits a state, so the
+spliced trace is the one the reference walk takes; totals are summed left
+to right as in the walk, and crankback is recounted only when a link repeats.
+The memo covers one destination at a time (it is dropped when a call names
+another), so callers that walk destination by destination, as
+``metrics.measure`` does, reuse it most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import reduce
+from itertools import islice
+from operator import add
+from typing import NamedTuple, Optional, Union
 
 from .rules import (
     Action,
@@ -39,6 +54,7 @@ from .rules import (
     ForwardingMatrix,
     GroupRef,
     Match,
+    Output,
     PRIMARY,
     PopLabelOutput,
     PushLabelOutput,
@@ -53,8 +69,7 @@ DROPPED = "dropped"
 LOOP = "loop"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     node: int
     label: FailureLabel  # label after this node's actions
     link: Optional[Link]  # outgoing link, None on the terminal step
@@ -210,9 +225,15 @@ class CompiledMatrix:
     liveness is decided on ``pair_id`` (one per node pair) and endpoints.
     Built by :func:`compile_matrix` as a snapshot: it holds no reference to
     the matrix, and a matrix changed later has to be compiled again.
+
+    ``memo`` holds the walks toward one destination (see the module
+    docstring); it is used only when ``memoizable``, that is when no node is
+    keyed.  It is replaced as a whole, so a walk that started with it keeps
+    a memo of its own destination even if another thread replaces it.
     """
 
-    __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n_nodes", "n_in")
+    __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n_nodes", "n_in",
+                 "memoizable", "memo")
 
     def __init__(self, tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in):
         self.tables = tables
@@ -222,6 +243,14 @@ class CompiledMatrix:
         self.pair_ids = pair_ids
         self.n_nodes = n_nodes  # bound on every node id in a rule key
         self.n_in = n_in  # number of link ids plus one
+        self.memoizable = not any(keyed)
+        # (dst, {(dead_pair, dead_node): {node * n_labels + label: (walk,
+        # index)}}), walk = (steps, weights, pair ids, outcome, reason) of a
+        # whole trace and index the position of that state in it.
+        self.memo: tuple[Optional[int], dict] = (None, {})
+
+
+_DROP_ACTION = (_DROP,)
 
 
 def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
@@ -238,25 +267,39 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     link_ids: dict[Link, int] = {}
     pair_ids: dict[tuple[int, int], int] = {}
     link_pairs: list[int] = []
+    # Rules share a few label and link objects.  Looking them up by identity
+    # first hashes each frozen dataclass once per object, not once per use;
+    # ``held`` keeps every object looked up alive, so no id is reused.
+    ids_by_object: dict[int, int] = {}
+    held: list[object] = []
 
     def label_id(label: FailureLabel) -> int:
-        lid = label_ids.get(label)
+        lid = ids_by_object.get(id(label))
         if lid is None:
-            lid = label_ids[label] = len(labels)
-            labels.append(label)
+            lid = label_ids.get(label)
+            if lid is None:
+                lid = label_ids[label] = len(labels)
+                labels.append(label)
+            ids_by_object[id(label)] = lid
+            held.append(label)
         return lid
 
     def link_id(link: Link) -> int:
-        lid = link_ids.get(link)
+        lid = ids_by_object.get(id(link))
         if lid is None:
-            lid = link_ids[link] = len(link_pairs)
-            link_pairs.append(pair_ids.setdefault(link.pair, len(pair_ids)))
+            lid = link_ids.get(link)
+            if lid is None:
+                lid = link_ids[link] = len(link_pairs)
+                link_pairs.append(pair_ids.setdefault(link.pair, len(pair_ids)))
+            ids_by_object[id(link)] = lid
+            held.append(link)
         return lid
 
     for link in t.links:
         link_id(link)
 
-    compiled_actions: dict[Action, tuple] = {}
+    # Compiled forwards by (new label id, link id): equal actions share one.
+    compiled_forwards: dict[tuple[int, int], tuple] = {}
     compiled_groups: dict[int, tuple] = {}
 
     def group_of(group_id: int) -> tuple:
@@ -283,25 +326,25 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
         return compiled
 
     def action_of(action: Action) -> tuple:
-        compiled = compiled_actions.get(action)
-        if compiled is not None:
-            return compiled
+        if isinstance(action, Output):
+            return forward(-1, action.link)
         if isinstance(action, GroupRef):
             return group_of(action.group_id)
+        if isinstance(action, (PushLabelOutput, RewriteLabelOutput)):
+            return forward(label_id(action.label), action.link)
+        if isinstance(action, PopLabelOutput):
+            return forward(0, action.link)
         if isinstance(action, Drop):
-            compiled = (_DROP,)
-        elif isinstance(action, (PushLabelOutput, RewriteLabelOutput)):
-            compiled = forward(label_id(action.label), action.link)
-        elif isinstance(action, PopLabelOutput):
-            compiled = forward(0, action.link)
-        else:
-            compiled = forward(-1, action.link)
-        compiled_actions[action] = compiled
-        return compiled
+            return _DROP_ACTION
+        return forward(-1, action.link)
 
     def forward(new_label: int, link: Link) -> tuple:
         lid = link_id(link)
-        return (_FORWARD, new_label, link, link.weight, lid, link_pairs[lid], link.u, link.v)
+        compiled = compiled_forwards.get((new_label, lid))
+        if compiled is None:
+            compiled = compiled_forwards[new_label, lid] = (
+                _FORWARD, new_label, link, link.weight, lid, link_pairs[lid], link.u, link.v)
+        return compiled
 
     # Intern every label and link first: the key radices depend on the totals.
     n_nodes = 1
@@ -319,14 +362,14 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
         compiled_table: dict[int, tuple] = {}
         node_keyed = False
         for match, action in table.items():
-            base = label_ids[match.label] * n_nodes + match.dst
+            base = label_id(match.label) * n_nodes + match.dst
             if match.src is None:
                 if match.in_link is None:
                     compiled_table[base] = action_of(action)
                 # else: a rule without a source never matches a packet
             else:
                 node_keyed = True
-                in_key = 0 if match.in_link is None else link_ids[match.in_link] + 1
+                in_key = 0 if match.in_link is None else link_id(match.in_link) + 1
                 compiled_table[-1 - (base * n_nodes + match.src) * n_in - in_key] = action_of(action)
         tables.append(compiled_table)
         keyed.append(node_keyed)
@@ -350,6 +393,8 @@ def _walk_compiled(cm: CompiledMatrix, trace: Trace) -> Trace:
     src, dst, scenario = trace.src, trace.dst, trace.scenario
     dead_pair = cm.pair_ids.get((scenario.u, scenario.v), -1) if scenario.kind == "link" else -1
     dead_node = scenario.v if scenario.kind == "node" else None
+    if cm.memoizable:
+        return _walk_shared(cm, trace, dead_pair, dead_node)
     tables, keyed, labels, fallbacks = cm.tables, cm.keyed, cm.labels, cm.fallbacks
     n_nodes, n_in = cm.n_nodes, cm.n_in
     n_labels = len(labels)
@@ -439,6 +484,111 @@ def _walk_compiled(cm: CompiledMatrix, trace: Trace) -> Trace:
         trace.outcome = DELIVERED
         trace.crankback_weight = crankback
     trace.total_weight = total
+    return trace
+
+
+def _walk_shared(cm: CompiledMatrix, trace: Trace, dead_pair: int,
+                 dead_node: Optional[int]) -> Trace:
+    """:func:`_walk_compiled` for a matrix without keyed rules: the walk
+    stops at the first state with a remembered suffix and splices it in."""
+    src, dst = trace.src, trace.dst
+    memo_dst, by_scenario = cm.memo
+    if memo_dst != dst:
+        by_scenario = {}
+        cm.memo = (dst, by_scenario)
+    memo = by_scenario.get((dead_pair, dead_node))
+    if memo is None:
+        memo = by_scenario[dead_pair, dead_node] = {}
+    tables, labels, fallbacks = cm.tables, cm.labels, cm.fallbacks
+    n_nodes, n_in = cm.n_nodes, cm.n_in
+    n_labels = len(labels)
+    dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
+    steps: list[TraceStep] = []
+    weights: list[float] = []
+    pairs: list[int] = []
+    keys: list[int] = []  # node * n_labels + label of each state walked here
+    seen: set[int] = set()
+    total = 0.0
+    hit = None
+    node = src
+    label = 0
+    in_link = -1
+    while node != dst:
+        key = node * n_labels + label
+        hit = memo.get(key)
+        if hit is not None:
+            break
+        state = key * n_in + in_link
+        if state in seen:
+            trace.outcome = LOOP
+            trace.reason = "forwarding state repeated"
+            break
+        seen.add(state)
+        keys.append(key)
+        table = tables[node]
+        action = table.get(label * n_nodes + dst_key)
+        if action is None:
+            for tier in fallbacks[label]:
+                action = table.get(tier * n_nodes + dst_key)
+                if action is not None:
+                    break
+            else:
+                trace.reason = "no matching rule"
+                break
+        kind = action[0]
+        if kind == _GROUP:
+            for watch, watch_u, watch_v, bucket_action in action[1]:
+                if watch is None or (
+                    watch != dead_pair and watch_u != dead_node and watch_v != dead_node
+                ):
+                    action = bucket_action
+                    break
+            else:
+                trace.reason = "no live group bucket"
+                break
+            kind = action[0]
+        if kind != _FORWARD:
+            if kind == _DROP:
+                trace.reason = "drop rule"
+                break
+            raise action[1](action[2])
+        _, new_label, link, weight, link_id, pair, u, v = action
+        if new_label >= 0:
+            label = new_label
+        if pair == dead_pair or u == dead_node or v == dead_node:
+            trace.reason = f"output link {link} is dead"
+            break
+        steps.append(TraceStep(node, labels[label], link, weight))
+        weights.append(weight)
+        pairs.append(pair)
+        total += weight
+        if node == u:
+            node = v
+        elif node == v:
+            node = u
+        else:
+            raise ValueError(f"node {node} is not an endpoint of {link}")
+        in_link = link_id
+    else:
+        steps.append(TraceStep(node, labels[label], None, 0.0))
+        trace.outcome = DELIVERED
+    if hit is not None:
+        (walk_steps, walk_weights, walk_pairs, trace.outcome, trace.reason), index = hit
+        steps += walk_steps[index:]
+        # The same left-to-right sum as adding each weight in the walk.
+        total = reduce(add, islice(walk_weights, index, None), total)
+        pairs += walk_pairs[index:]
+        if keys:
+            weights += walk_weights[index:]
+    trace.total_weight = total
+    if keys and trace.outcome != LOOP:
+        walk = (steps.copy(), weights, pairs, trace.outcome, trace.reason)
+        for index, key in enumerate(keys):
+            memo[key] = (walk, index)
+    trace.steps = steps
+    if trace.outcome == DELIVERED and len(set(pairs)) < len(pairs):
+        # Crankback needs a link traversed twice; recount it hop by hop.
+        trace.crankback_weight = crankback_of(trace)
     return trace
 
 

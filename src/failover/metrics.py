@@ -108,12 +108,15 @@ class MetricsRow:
         )
 
 
-def _on_path_scenarios(mode: str, sequence: tuple[int, ...]) -> list[FailureScenario]:
+def _on_path_scenarios(mode: str, sequence: tuple[int, ...],
+                       made: dict) -> list[FailureScenario]:
+    """The failures to test on one primary path; ``made`` holds the
+    scenarios of ``t``'s nodes and links, keyed by node and by arc."""
     if mode in _NODE_FAILURE_MODES:
         # Endpoints are excluded: the source is the sender and a failed
         # destination is undeliverable by definition.
-        return [FailureScenario.node_down(v) for v in sequence[1:-1]]
-    return [FailureScenario.link_down(a, b) for a, b in zip(sequence, sequence[1:])]
+        return [made.get(v) or FailureScenario.node_down(v) for v in sequence[1:-1]]
+    return [made.get(arc) or FailureScenario.link_down(*arc) for arc in zip(sequence, sequence[1:])]
 
 
 def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> MetricsRow:
@@ -121,9 +124,17 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
 
     ``fw`` is compiled once for this call (:func:`compile_matrix`) and every
     trace walks the compiled form; nothing is kept after the call returns.
+    Traces are walked destination by destination, the order in which the
+    compiled walk reuses the suffixes it remembers per destination.  The
+    row does not depend on that order: means are ``fmean`` (an exactly
+    rounded sum over the count) and the rest are minima, maxima and counts.
     """
     trees = all_shortest_trees(t)
     compiled = compile_matrix(fw, t)
+    scenarios: dict = {v: FailureScenario.node_down(v) for v in t.nodes}
+    for link in t.links:
+        scenarios[link.u, link.v] = scenarios[link.v, link.u] = FailureScenario.link_down(
+            link.u, link.v)
     primary_ratios: list[float] = []
     backup_avgs: list[float] = []
     backup_mins: list[float] = []
@@ -132,8 +143,8 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
     crank_maxs: list[float] = []
     uncovered = 0
     loops = 0
-    for s in t.nodes:
-        for d in t.nodes:
+    for d in t.nodes:
+        for s in t.nodes:
             if s == d:
                 continue
             oracle = trees[s].dist.get(d)
@@ -149,7 +160,7 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
             primary_ratios.append(primary.total_weight / oracle)
             pair_ratios: list[float] = []
             pair_cranks: list[float] = []
-            for scenario in _on_path_scenarios(fw.mode, primary.node_sequence):
+            for scenario in _on_path_scenarios(fw.mode, primary.node_sequence, scenarios):
                 trace = simulate(compiled, t, scenario, s, d)
                 if trace.outcome == LOOP:
                     loops += 1
@@ -310,6 +321,11 @@ def _run_once(args) -> tuple[list[MetricsRow], list[str]]:
     return rows, []
 
 
+def _run_indexed(args):
+    index, task = args
+    return index, _run_once(task)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Generate, build, simulate, and aggregate; deterministic per seed."""
     config.validate()
@@ -322,8 +338,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.jobs > 1:
         import multiprocessing
 
+        # One task at a time, largest sizes first, so that no worker is left
+        # with a long tail of the costliest tasks; results go back in order.
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][2])
+        results = [None] * len(tasks)
         with multiprocessing.Pool(config.jobs) as pool:
-            results = pool.map(_run_once, tasks)
+            for i, result in pool.imap_unordered(_run_indexed, [(i, tasks[i]) for i in order],
+                                                 chunksize=1):
+                results[i] = result
     else:
         results = [_run_once(task) for task in tasks]
     report = ExperimentReport(config)

@@ -280,7 +280,9 @@ class ForwardingMatrix:
         Output-style actions must use links incident to their node, labels
         may only be pushed onto primary-matched packets and popped off
         labeled ones, and every group needs at least two buckets watching
-        local links and must be referenced from its own node.
+        local links and must be referenced from its own node.  Every ordered
+        pair ``(s, d)`` needs a primary rule at ``s``: ``Match(PRIMARY, d)``
+        or, for the disjoint baselines, ``Match(PRIMARY, d, s, None)``.
         """
         def incident(node: int, link: Link) -> bool:
             return node in (link.u, link.v)
@@ -315,6 +317,11 @@ class ForwardingMatrix:
                     raise ValueError(f"group {gid} watches non-incident {bucket.watch}")
                 if isinstance(bucket.action, GroupRef):
                     raise ValueError(f"group {gid} nests a group reference")
+        for s in range(self.n):
+            table = self.tables[s]
+            for d in range(self.n):
+                if d != s and Match(PRIMARY, d) not in table and Match(PRIMARY, d, s) not in table:
+                    raise ValueError(f"no primary rule at node {s} for destination {d}")
 
     # -- serialization -----------------------------------------------------
 

@@ -220,3 +220,18 @@ def test_rejects_sizes_the_generator_cannot_make(generator, size, monkeypatch):
                         (metrics._GENERATORS[generator][0], unreachable))
     with pytest.raises(ValueError, match=f"size {size}"):
         run_experiment(ExperimentConfig(generator=generator, sizes=(9, size), runs=1))
+
+
+def test_two_workers_give_the_rows_of_one():
+    # Tasks run largest size first on two workers; the results must come
+    # back in task order, so the report is that of one worker.
+    def rows(jobs):
+        report = run_experiment(ExperimentConfig(generator="er", sizes=(9, 16), runs=2,
+                                                 seed=4, jobs=jobs))
+        data = report.to_json()
+        for row in data["runs"] + data["aggregates"]:
+            del row["compute_seconds"]
+        del data["config"]["jobs"]
+        return report.to_csv(), data
+
+    assert rows(2) == rows(1)

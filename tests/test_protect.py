@@ -320,3 +320,19 @@ def test_matrices_satisfy_structural_invariants(corpus):
             optimize(fw, t).validate()
         disjoint_rules(t, "link").validate()
         disjoint_rules(t, "node").validate()
+
+
+@pytest.mark.parametrize("variant", ["per-link", "per-node", "hybrid", "disjoint-link",
+                                     "disjoint-node"])
+def test_validate_rejects_a_missing_primary_rule(variant):
+    from failover.metrics import build_variant
+    from failover.topology import generate_erdos_renyi
+
+    t = generate_erdos_renyi(9, 1)
+    fw = build_variant(t, variant)
+    fw.validate()
+    table = fw.tables[3]
+    primary = Match(PRIMARY, 5) if Match(PRIMARY, 5) in table else Match(PRIMARY, 5, 3, None)
+    del table[primary]
+    with pytest.raises(ValueError, match="no primary rule at node 3 for destination 5"):
+        fw.validate()
