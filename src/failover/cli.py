@@ -93,8 +93,13 @@ def _cmd_simulate(args) -> int:
     if error is not None:
         print(f"failover simulate: {error}", file=sys.stderr)
         return 2
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        fw = ForwardingMatrix.from_json(json.load(fh), t)
+    try:
+        with open(args.matrix, "r", encoding="utf-8") as fh:
+            fw = ForwardingMatrix.from_json(json.load(fh), t)
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"failover simulate: {args.matrix}: not a valid matrix of this topology: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     trace = simulate(fw, t, args.scenario, args.src, args.dst)
     sys.stdout.write(trace.dump())
     return 0 if trace.delivered else 1

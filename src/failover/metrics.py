@@ -199,13 +199,14 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
 
 
 def build_variant(t: Topology, variant: str, optimized: bool = True) -> ForwardingMatrix:
-    """Build one named configuration for ``t``."""
+    """Build one named configuration for ``t``.  An optimized protection
+    matrix is built without the pop rules ``optimize`` deletes."""
     if variant == "per-link":
-        fw = per_link_rules(t)
+        fw = per_link_rules(t, install_pops=not optimized)
     elif variant == "per-node":
-        fw = per_node_rules(t)
+        fw = per_node_rules(t, install_pops=not optimized)
     elif variant == "hybrid":
-        fw = hybrid_rules(t)
+        fw = hybrid_rules(t, install_pops=not optimized)
     elif variant == "disjoint-link":
         return disjoint_rules(t, "link")
     elif variant == "disjoint-node":

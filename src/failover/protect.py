@@ -19,16 +19,24 @@ tree for the destinations whose primary path departs on ``l``:
 The detecting node's primary rule becomes a fast-failover group: bucket 1
 outputs on the watched primary link, bucket 2 pushes the failure label and
 outputs on the detour.  Along a detour, the first node whose preferred
-primary path no longer touches the failed element carries a pop rule (the
+primary path no longer touches the failed element is the pop point (the
 detour provably rejoins that primary path there); for hybrid link labels the
 pop additionally requires the primary path to avoid the opposite node, since
-the packet may actually be detouring a node failure.
+the packet may actually be detouring a node failure.  The full matrix gives
+the pop point a labeled pop rule, and every later node of the detour whose
+primary path also avoids the failed element gets one too.
 
-``optimize`` deletes every labeled rule from the pop point on (labeled
-packets then fall through to the primary match, which provably forwards
-along the identical path) and, for hybrid matrices, link rules whose action
-equals the node-family wildcard rule at the same node and destination.
-Delivered node sequences and weights are unchanged by construction.
+``optimize`` deletes every labeled pop rule (labeled packets then fall
+through to the primary match, which provably forwards along the identical
+path) and, for hybrid matrices, link rules whose action equals the
+node-family wildcard rule at the same node and destination.  Delivered node
+sequences and weights are unchanged by construction.  A build made for
+``optimize`` (``install_pops=False``) installs no labeled pop rule at all:
+where the rest of a detour is the primary path of each of its nodes, it stops
+at the pop point, and elsewhere it walks on, installing the other rules.  It
+counts the distinct pop rules it left out in ``skipped_pops``, and
+``optimize`` adds them to ``rules_before_optimize``, so the optimized matrix
+and its stats are those of the full build.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .rules import (
     any_link_fail_to,
     link_fail,
     node_fail,
+    rule_conflict,
 )
 from .spf import (
     ShortestPathTree,
@@ -75,6 +84,10 @@ class _Build:
     trees: list[ShortestPathTree]
     fw: ForwardingMatrix
     affected: dict[tuple[int, Link], set[int]]
+    # builds for optimize only: per node, the node-family pop keys left out,
+    # and the number of link-family pop rules left out
+    skipped: Optional[list[set[Match]]] = None
+    skipped_link_pops: int = 0
     # hybrid only: (detour node, far endpoint v, dst, exact label, output link)
     upgrade_rules: list[tuple[int, int, int, object, Link]] = field(default_factory=list)
     # hybrid only: extra node-family targets per detecting arc (node, v)
@@ -85,29 +98,36 @@ class _Build:
     )
 
 
-def per_link_rules(t: Topology) -> ForwardingMatrix:
-    """Primary + backup rules surviving any single link failure."""
-    return _build(t, MODE_PER_LINK)
+def per_link_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
+    """Primary + backup rules surviving any single link failure.
+
+    With ``install_pops=False`` the matrix lacks the labeled pop rules,
+    counted in ``skipped_pops``.  It is meant only as input to ``optimize``,
+    which turns it into the same matrix as the full build."""
+    return _build(t, MODE_PER_LINK, install_pops)
 
 
-def per_node_rules(t: Topology) -> ForwardingMatrix:
+def per_node_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
     """Primary + backup rules surviving any single node failure (packets to
-    the failed node itself are undeliverable and dropped)."""
-    return _build(t, MODE_PER_NODE)
+    the failed node itself are undeliverable and dropped).  See
+    ``per_link_rules`` for ``install_pops``."""
+    return _build(t, MODE_PER_NODE, install_pops)
 
 
-def hybrid_rules(t: Topology) -> ForwardingMatrix:
+def hybrid_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
     """Link-failure detours preferred, upgraded to node-failure detours when
-    a second dead link toward the same node is observed."""
-    return _build(t, MODE_HYBRID)
+    a second dead link toward the same node is observed.  See
+    ``per_link_rules`` for ``install_pops``."""
+    return _build(t, MODE_HYBRID, install_pops)
 
 
-def _build(t: Topology, mode: str) -> ForwardingMatrix:
+def _build(t: Topology, mode: str, install_pops: bool) -> ForwardingMatrix:
     counter = SpCounter()
     trees = all_shortest_trees(t, counter)
     fw, affected = primary_matrix_from_trees(t, trees)
     fw.mode = mode
-    ctx = _Build(t, trees, fw, affected)
+    skipped = None if install_pops else [set() for _ in range(t.n)]
+    ctx = _Build(t, trees, fw, affected, skipped)
     if mode == MODE_PER_LINK:
         _install_family(ctx, _LINK, counter, hybrid=False)
     elif mode == MODE_PER_NODE:
@@ -117,6 +137,8 @@ def _build(t: Topology, mode: str) -> ForwardingMatrix:
         _install_family(ctx, _NODE, counter, hybrid=True)
         _install_upgrade_groups(ctx)
     fw.stats["sp_invocations"] = counter.count
+    if skipped is not None:
+        fw.skipped_pops = sum(map(len, skipped)) + ctx.skipped_link_pops
     return fw
 
 
@@ -207,24 +229,67 @@ def _install_detour_rules(
     d: int,
     detour: tuple[int, ...],
 ) -> None:
-    t, fw = ctx.t, ctx.fw
-    for idx in range(1, len(detour) - 1):
+    t, fw, trees, lean = ctx.t, ctx.fw, ctx.trees, ctx.skipped is not None
+    # Pop keys another detour may also leave out (node labels are shared).
+    shared = ctx.skipped if family == _NODE else None
+    match = Match(match_label, d)
+    end = len(detour) - 1
+    for idx in range(1, end):
         w_node = detour[idx]
-        out = t.link_between(w_node, detour[idx + 1])
-        match = Match(match_label, d)
         if _pop_allowed(ctx, w_node, d, family, failed, opposite, hybrid):
+            if lean and _rejoins(trees, detour, idx, d):
+                # The rest of the detour is each of its nodes' primary path,
+                # so every node from here on would get a pop rule.
+                _skip_pops(ctx, family, detour[idx:end], match)
+                return
             # The detour provably coincides with this node's primary path
             # from here on, so popping hands the packet back unchanged.
-            prim_next = ctx.trees[w_node].next_link[d]
-            assert prim_next == out, "detour must rejoin the primary path at the pop point"
-            fw.add_rule(w_node, match, PopLabelOutput(prim_next))
-        else:
-            fw.add_rule(w_node, match, Output(out))
-            if hybrid and family == _LINK and detour[idx + 1] == opposite:
-                # Live link-detour rule heading straight for the label's far
-                # endpoint: upgrade point for a presumed node failure.
-                ctx.upgrade_rules.append((w_node, opposite, d, label, out))
-                ctx.upgrade_targets.setdefault((w_node, opposite), set()).add(d)
+            prim_next = trees[w_node].next_link[d]
+            assert prim_next == t.link_between(w_node, detour[idx + 1]), (
+                "detour must rejoin the primary path at the pop point"
+            )
+            if lean:
+                _skip_pops(ctx, family, (w_node,), match)
+            else:
+                fw.add_rule(w_node, match, PopLabelOutput(prim_next))
+            continue
+        out = t.link_between(w_node, detour[idx + 1])
+        if shared is not None and match in shared[w_node]:
+            raise rule_conflict(w_node, match, _pop_of(ctx, w_node, d), Output(out))
+        fw.add_rule(w_node, match, Output(out))
+        if hybrid and family == _LINK and detour[idx + 1] == opposite:
+            # Live link-detour rule heading straight for the label's far
+            # endpoint: upgrade point for a presumed node failure.
+            ctx.upgrade_rules.append((w_node, opposite, d, label, out))
+            ctx.upgrade_targets.setdefault((w_node, opposite), set()).add(d)
+
+
+def _rejoins(trees: list[ShortestPathTree], detour: tuple[int, ...], idx: int, d: int) -> bool:
+    """Is ``detour[k:]`` the primary path of ``detour[k]`` for every ``k``
+    from ``idx`` up to the last node before ``d``?"""
+    return all(trees[detour[k]].paths[d] == detour[k:] for k in range(idx, len(detour) - 1))
+
+
+def _pop_of(ctx: _Build, node: int, d: int) -> PopLabelOutput:
+    """The pop rule the full build installs at ``node`` toward ``d``."""
+    return PopLabelOutput(ctx.trees[node].next_link[d])
+
+
+def _skip_pops(ctx: _Build, family: str, nodes: tuple[int, ...], match: Match) -> None:
+    """Leave out the labeled pop rules of ``nodes``, checked as ``add_rule``
+    would check them.  A link label belongs to one arc, whose detour toward
+    ``match.dst`` passes each node once: no other rule has these keys, so
+    they are only counted."""
+    if family == _LINK:
+        ctx.skipped_link_pops += len(nodes)
+        return
+    tables, skipped = ctx.fw.tables, ctx.skipped
+    for node in nodes:
+        existing = tables[node].get(match)
+        if existing is not None:
+            # Only a pop equals a pop, and a build for optimize installs none.
+            raise rule_conflict(node, match, existing, _pop_of(ctx, node, match.dst))
+        skipped[node].add(match)
 
 
 def _install_upgrade_groups(ctx: _Build) -> None:
@@ -251,11 +316,12 @@ def optimize(fw: ForwardingMatrix, t: Topology) -> ForwardingMatrix:
     """Shrink the rule table without changing any delivered packet path.
 
     (a) Label stripping: once a detour reaches a node whose primary path is
-    unaffected by the failure, the label has done its job.  All labeled
-    rules from that pop point on are deleted, the pop rule included: a
-    labeled packet with no labeled rule falls through to the primary match,
-    which at such nodes forwards along the exact same path the pop rule
-    would have (the detour rejoins the primary path there).
+    unaffected by the failure, the label has done its job.  Every labeled
+    pop rule is deleted: a labeled packet with no labeled rule falls
+    through to the primary match, which at such nodes forwards along the
+    exact same path the pop rule would have (the detour rejoins the primary
+    path there).  ``fw.skipped_pops``, the pop rules a build made for this
+    function never installed, counts toward ``rules_before_optimize``.
     (b) Hybrid dedup: an exact link-failure rule whose action equals the
     node-family wildcard rule at the same node and destination is deleted;
     the wildcard match covers those packets with the identical action.
@@ -279,6 +345,6 @@ def optimize(fw: ForwardingMatrix, t: Topology) -> ForwardingMatrix:
     out.prune_unreferenced_groups()
     out.uncovered = list(fw.uncovered)
     out.stats = dict(fw.stats)
-    out.stats["rules_before_optimize"] = fw.rule_count()
+    out.stats["rules_before_optimize"] = fw.rule_count() + fw.skipped_pops
     out.stats["optimized"] = 1.0
     return out

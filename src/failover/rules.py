@@ -19,7 +19,7 @@ Label semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .topology import Link, Topology
 
@@ -41,6 +41,7 @@ __all__ = [
     "GroupEntry",
     "UncoveredEntry",
     "ForwardingMatrix",
+    "rule_conflict",
     "MODE_SHORTEST",
     "MODE_PER_LINK",
     "MODE_PER_NODE",
@@ -169,6 +170,9 @@ class Drop:
 
 Action = Union[Output, PushLabelOutput, PopLabelOutput, RewriteLabelOutput, GroupRef, Drop]
 
+# Actions that output on a link.
+_LINK_ACTIONS = frozenset({Output, PushLabelOutput, PopLabelOutput, RewriteLabelOutput})
+
 # Actions a group bucket may carry (no nested groups).
 BucketAction = Union[Output, PushLabelOutput, PopLabelOutput, RewriteLabelOutput, Drop]
 
@@ -205,9 +209,12 @@ class ForwardingMatrix:
         self.n = n
         self.tables: list[dict[Match, Action]] = [dict() for _ in range(n)]
         self.groups: dict[int, GroupEntry] = {}
-        self._group_index: dict[tuple[int, tuple[Bucket, ...]], int] = {}
+        # Built from ``groups`` by the first ``intern_group`` call.
+        self._group_index: Optional[dict[tuple[int, tuple[Bucket, ...]], int]] = None
         self.uncovered: list[UncoveredEntry] = []
         self.stats: dict[str, float] = {}
+        # Labeled pop rules a build for ``optimize`` left out; not serialized.
+        self.skipped_pops = 0
 
     # -- construction ------------------------------------------------------
 
@@ -216,9 +223,7 @@ class ForwardingMatrix:
         conflicting action for the same exact match is a bug."""
         existing = self.tables[node].get(match)
         if existing is not None and existing != action:
-            raise ValueError(
-                f"conflicting rule at node {node} for {match}: {existing} vs {action}"
-            )
+            raise rule_conflict(node, match, existing, action)
         self.tables[node][match] = action
 
     def set_rule(self, node: int, match: Match, action: Action) -> None:
@@ -226,11 +231,14 @@ class ForwardingMatrix:
 
     def intern_group(self, node: int, buckets: tuple[Bucket, ...]) -> GroupRef:
         """Groups with identical ordered buckets at one node are shared."""
+        index = self._group_index
+        if index is None:
+            index = self._group_index = {(g.node, g.buckets): gid for gid, g in self.groups.items()}
         key = (node, buckets)
-        group_id = self._group_index.get(key)
+        group_id = index.get(key)
         if group_id is None:
             group_id = len(self.groups)
-            self._group_index[key] = group_id
+            index[key] = group_id
             self.groups[group_id] = GroupEntry(group_id, node, buckets)
         return GroupRef(group_id)
 
@@ -242,9 +250,7 @@ class ForwardingMatrix:
             if isinstance(action, GroupRef)
         }
         self.groups = {gid: g for gid, g in self.groups.items() if gid in used}
-        self._group_index = {
-            (g.node, g.buckets): gid for gid, g in self.groups.items()
-        }
+        self._group_index = None
 
     # -- queries -----------------------------------------------------------
 
@@ -277,6 +283,7 @@ class ForwardingMatrix:
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation.
 
+        Rules name destinations and sources among the nodes ``0..n-1``.
         Output-style actions must use links incident to their node, labels
         may only be pushed onto primary-matched packets and popped off
         labeled ones, and every group needs at least two buckets watching
@@ -287,29 +294,44 @@ class ForwardingMatrix:
         def incident(node: int, link: Link) -> bool:
             return node in (link.u, link.v)
 
+        groups = self.groups
         pushing_groups = {
             gid
-            for gid, g in self.groups.items()
+            for gid, g in groups.items()
             if any(isinstance(b.action, PushLabelOutput) for b in g.buckets)
         }
-        for node in range(self.n):
-            for match, action in self.tables[node].items():
-                if isinstance(action, (Output, PushLabelOutput, PopLabelOutput, RewriteLabelOutput)):
-                    if not incident(node, action.link):
-                        raise ValueError(f"rule at {node} outputs on non-incident {action.link}")
-                if isinstance(action, PushLabelOutput) and not match.label.is_primary:
-                    raise ValueError(f"push from non-primary match at node {node}")
-                if isinstance(action, PopLabelOutput) and match.label.is_primary:
-                    raise ValueError(f"pop from primary match at node {node}")
-                if isinstance(action, GroupRef):
-                    group = self.groups.get(action.group_id)
+        nodes = range(self.n)
+        # Per node, the destinations it has a primary rule for.
+        reached: list[set[int]] = []
+        for node, table in enumerate(self.tables):
+            dsts = set()
+            reached.append(dsts)
+            for match, action in table.items():
+                if type(match.dst) is not int or match.dst not in nodes or (
+                    match.src is not None and (type(match.src) is not int or match.src not in nodes)
+                ):
+                    raise ValueError(f"rule at node {node} names a node outside 0..{self.n - 1}: "
+                                     f"{match}")
+                primary = match.label.kind == "primary"
+                if primary and match.in_link is None and match.src in (None, node):
+                    dsts.add(match.dst)
+                kind = type(action)
+                if kind is GroupRef:
+                    group = groups.get(action.group_id)
                     if group is None:
                         raise ValueError(f"unresolved group {action.group_id} at node {node}")
                     if group.node != node:
                         raise ValueError(f"node {node} references group of node {group.node}")
-                    if action.group_id in pushing_groups and not match.label.is_primary:
+                    if action.group_id in pushing_groups and not primary:
                         raise ValueError(f"label push reachable from non-primary match at {node}")
-        for gid, group in self.groups.items():
+                elif kind in _LINK_ACTIONS:
+                    if not incident(node, action.link):
+                        raise ValueError(f"rule at {node} outputs on non-incident {action.link}")
+                    if kind is PushLabelOutput and not primary:
+                        raise ValueError(f"push from non-primary match at node {node}")
+                    if kind is PopLabelOutput and primary:
+                        raise ValueError(f"pop from primary match at node {node}")
+        for gid, group in groups.items():
             if len(group.buckets) < 2:
                 raise ValueError(f"group {gid} has fewer than two buckets")
             for bucket in group.buckets:
@@ -317,11 +339,11 @@ class ForwardingMatrix:
                     raise ValueError(f"group {gid} watches non-incident {bucket.watch}")
                 if isinstance(bucket.action, GroupRef):
                     raise ValueError(f"group {gid} nests a group reference")
-        for s in range(self.n):
-            table = self.tables[s]
-            for d in range(self.n):
-                if d != s and Match(PRIMARY, d) not in table and Match(PRIMARY, d, s) not in table:
-                    raise ValueError(f"no primary rule at node {s} for destination {d}")
+        every = set(nodes)
+        for s, dsts in enumerate(reached):
+            missing = every - dsts - {s}
+            if missing:
+                raise ValueError(f"no primary rule at node {s} for destination {min(missing)}")
 
     # -- serialization -----------------------------------------------------
 
@@ -361,35 +383,71 @@ class ForwardingMatrix:
 
     @classmethod
     def from_json(cls, data: dict, t: Topology) -> "ForwardingMatrix":
-        fw = cls(data["mode"], data["n"])
+        """Load a matrix of ``t`` written by :meth:`to_json`.
+
+        Raises ``ValueError`` unless the matrix has ``t``'s node count, names
+        only links of ``t``, known labels and action types, and passes
+        :meth:`validate`; a missing key raises ``KeyError``.  Each distinct
+        label, link and action is parsed once per load.
+        """
+        n = data["n"]
+        if n != t.n:
+            raise ValueError(f"matrix is for {n} nodes, topology has {t.n}")
+        fw = cls(data["mode"], n)
+        labels = _Memo(FailureLabel.parse)
+        links = _Memo(lambda text: _parse_link(text, t))
+        actions = _Memo(lambda key: _action_from_key(key, labels, links))
+
+        def action(entry: dict) -> Action:
+            kind = entry["type"]
+            if kind == "group":
+                return GroupRef(entry["id"])
+            return actions[(kind, entry.get("link"), entry.get("label"))]
+
+        tables = fw.tables
         for entry in data["rules"]:
-            match = Match(
-                FailureLabel.parse(entry["label"]),
-                entry["dst"],
-                entry["src"],
-                None if entry["in_link"] is None else _parse_link(entry["in_link"], t),
-            )
-            fw.tables[entry["node"]][match] = _action_from_json(entry["action"], t)
+            node = entry["node"]
+            if not 0 <= node < n:
+                raise ValueError(f"rule at node {node}, outside 0..{n - 1}")
+            in_link = entry["in_link"]
+            match = Match(labels[entry["label"]], entry["dst"], entry["src"],
+                          None if in_link is None else links[in_link])
+            tables[node][match] = action(entry["action"])
         for g in data["groups"]:
             buckets = tuple(
-                Bucket(
-                    None if b["watch"] is None else _parse_link(b["watch"], t),
-                    _action_from_json(b["action"], t),
-                )
+                Bucket(None if b["watch"] is None else links[b["watch"]], action(b["action"]))
                 for b in g["buckets"]
             )
             fw.groups[g["id"]] = GroupEntry(g["id"], g["node"], buckets)
-        fw._group_index = {
-            (g.node, g.buckets): gid for gid, g in fw.groups.items()
-        }
         fw.uncovered = [UncoveredEntry(*entry) for entry in data.get("uncovered", [])]
         fw.stats = dict(data.get("stats", {}))
+        fw.validate()
         return fw
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``parse(key)``, computed on the first lookup."""
+
+    def __init__(self, parse: Callable) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
+
+
+def rule_conflict(node: int, match: Match, existing: Action, action: Action) -> ValueError:
+    """The error for two different actions on one exact match."""
+    return ValueError(f"conflicting rule at node {node} for {match}: {existing} vs {action}")
+
+
 def _parse_link(text: str, t: Topology) -> Link:
-    u, v = (int(x) for x in text.split("-"))
-    link = t.link_between(u, v)
+    try:
+        u, v = (int(x) for x in text.split("-"))
+    except (AttributeError, ValueError):
+        raise ValueError(f"matrix has a malformed link {text!r}") from None
+    link = t.link_between(u, v) if u < t.n else None
     if link is None:
         raise ValueError(f"matrix references link {text} absent from topology")
     return link
@@ -411,18 +469,17 @@ def _action_to_json(action: Action) -> dict:
     raise TypeError(f"unknown action {action!r}")
 
 
-def _action_from_json(data: dict, t: Topology) -> Action:
-    kind = data["type"]
+def _action_from_key(key: tuple, labels: _Memo, links: _Memo) -> Action:
+    """The action of a JSON action's ``(type, link, label)``; not a group."""
+    kind, link, label = key
     if kind == "output":
-        return Output(_parse_link(data["link"], t))
+        return Output(links[link])
     if kind == "push":
-        return PushLabelOutput(FailureLabel.parse(data["label"]), _parse_link(data["link"], t))
+        return PushLabelOutput(labels[label], links[link])
     if kind == "pop":
-        return PopLabelOutput(_parse_link(data["link"], t))
+        return PopLabelOutput(links[link])
     if kind == "rewrite":
-        return RewriteLabelOutput(FailureLabel.parse(data["label"]), _parse_link(data["link"], t))
-    if kind == "group":
-        return GroupRef(data["id"])
+        return RewriteLabelOutput(labels[label], links[link])
     if kind == "drop":
         return Drop()
     raise ValueError(f"unknown action type {kind!r}")

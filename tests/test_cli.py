@@ -166,3 +166,34 @@ def test_evaluate_rejects_zero_runs_from_config_file(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg), "--csv", str(csv_path)]) == 2
     assert capsys.readouterr().err == "failover evaluate: runs must be at least 1, got 0\n"
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("other", [("er", "10", "4"), ("lattice", "9", "1")])
+def test_simulate_rejects_a_matrix_of_another_topology(tmp_path, capsys, other):
+    topo, other_topo = tmp_path / "topo.txt", tmp_path / "other.txt"
+    main(["generate", "--kind", "er", "-n", "10", "--seed", "3", "--out", str(topo)])
+    kind, nodes, seed = other
+    main(["generate", "--kind", kind, "-n", nodes, "--seed", seed, "--out", str(other_topo)])
+    matrix = tmp_path / "matrix.json"
+    main(["compute", "--topology", str(other_topo), "--variant", "hybrid",
+          "--out", str(matrix)])
+    capsys.readouterr()
+    code = main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
+                 "--src", "0", "--dst", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("failover simulate: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"mode": "per-link"}'])
+def test_simulate_rejects_a_malformed_matrix(tmp_path, capsys, text):
+    topo = tmp_path / "topo.txt"
+    main(["generate", "--kind", "er", "-n", "10", "--seed", "3", "--out", str(topo)])
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(text)
+    capsys.readouterr()
+    code = main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
+                 "--src", "0", "--dst", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("failover simulate: ") and err.count("\n") == 1

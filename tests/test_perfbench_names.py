@@ -58,3 +58,10 @@ def test_traced_pass_gives_a_number_for_every_layer_metric(workload, monkeypatch
         if not (isinstance(values[name], (int, float)) and math.isfinite(values[name]))
     }
     assert not_finite == {}
+    # Both stay finite when ``build_variant`` bypasses the traced builder
+    # names, at zero: check what the pass must have counted and spent.
+    budget = sum(workloads.sp_budget(item.topology, variant)
+                 for item in items for variant in plan.variants
+                 if variant in workloads.PROTECTION)
+    assert values["spf.sp_invocations"] == budget
+    assert values["protect.build_self_s"] > 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from failover.dataplane import simulate
 from failover.protect import hybrid_rules, optimize, per_link_rules, per_node_rules
@@ -19,7 +20,16 @@ from failover.rules import (
     node_fail,
 )
 from failover.spf import all_shortest_trees
-from failover.topology import FailureScenario, NO_FAILURE, Topology
+from failover.topology import (
+    NO_FAILURE,
+    FailureScenario,
+    Link,
+    Topology,
+    generate_erdos_renyi,
+    generate_lattice,
+    generate_waxman,
+    unit_weights,
+)
 
 from conftest import hybrid_upgrade_instance, path3, square
 from oracles import DetourOracle, path_weight
@@ -336,3 +346,108 @@ def test_validate_rejects_a_missing_primary_rule(variant):
     del table[primary]
     with pytest.raises(ValueError, match="no primary rule at node 3 for destination 5"):
         fw.validate()
+
+
+# -- builds for optimize ------------------------------------------------------
+
+PROTECTION_BUILDS = (per_link_rules, per_node_rules, hybrid_rules)
+
+
+def _optimized_json(build, t: Topology, install_pops: bool):
+    """``optimize(build(t))`` as text, or the error the build raises."""
+    try:
+        fw = optimize(build(t, install_pops=install_pops), t)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return json.dumps(fw.to_json(), sort_keys=True)
+
+
+def _lattice(n: int, seed: int) -> Topology:
+    return unit_weights(generate_lattice(n, seed))
+
+
+DIFFERENTIAL_CORPUS = {
+    "er16": lambda: generate_erdos_renyi(16, 3),
+    "er16-unit": lambda: unit_weights(generate_erdos_renyi(16, 3)),
+    "lattice25-unit": lambda: _lattice(25, 1),
+    "lattice64-unit": lambda: _lattice(64, 2),
+    "waxman25": lambda: generate_waxman(25, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CORPUS))
+@pytest.mark.parametrize("build", PROTECTION_BUILDS)
+def test_build_without_pops_optimizes_to_the_full_builds_matrix(name, build):
+    t = DIFFERENTIAL_CORPUS[name]()
+    lean = build(t, install_pops=False)
+    assert lean.skipped_pops > 0
+    assert not any(isinstance(a, PopLabelOutput) and not m.label.is_primary
+                   for _n, m, a in lean.iter_rules())
+    full = build(t)
+    assert full.skipped_pops == 0
+    expected = optimize(full, t).to_json()
+    assert optimize(lean, t).to_json() == expected
+    assert expected["stats"]["rules_before_optimize"] == full.rule_count()
+
+
+def test_build_without_pops_fails_as_the_full_build_on_zero_weights():
+    # Zero-weight links break the rejoin assertion or make detours collide;
+    # either way both builds must stop with the same error.
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+    raised = 0
+    for bits in range(32):
+        t = Topology(4, [Link(u, v, float(bits >> i & 1)) for i, (u, v) in enumerate(pairs)])
+        for build in PROTECTION_BUILDS:
+            full = _optimized_json(build, t, True)
+            raised += isinstance(full, tuple)
+            assert _optimized_json(build, t, False) == full, (bits, build.__name__)
+    assert raised > 0
+
+
+@st.composite
+def tied_two_connected_graphs(draw):
+    """A ring with random chords and few distinct positive weights."""
+    n = draw(st.integers(4, 8))
+    chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    pairs = {(i, (i + 1) % n) for i in range(n)} | {(u, v) for u, v in chords if u != v}
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    weights = draw(st.lists(st.sampled_from([1.0, 1.0, 2.0]),
+                            min_size=len(edges), max_size=len(edges)))
+    return Topology(n, [Link(u, v, w) for (u, v), w in zip(edges, weights)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=tied_two_connected_graphs())
+def test_build_without_pops_on_random_tied_graphs(t):
+    for build in PROTECTION_BUILDS:
+        assert _optimized_json(build, t, False) == _optimized_json(build, t, True)
+
+
+@pytest.mark.parametrize("build", [per_node_rules, hybrid_rules])
+@pytest.mark.parametrize("outputs_first", [True, False])
+def test_a_left_out_pop_still_conflicts(build, outputs_first, monkeypatch):
+    # Node-family pop decisions do not depend on the detecting node, so a
+    # pop never meets another rule in a real build.  Make them depend on it
+    # (never pop on detours detected by a node below, or above, the failed
+    # one): both builds must then stop at the same conflict.
+    import failover.protect as protect
+
+    allowed = protect._pop_allowed
+
+    def pop_allowed(ctx, node, dst, family, failed, opposite, hybrid):
+        detector = failed.u if failed.v == opposite else failed.v
+        if family == "node" and (detector < opposite) == outputs_first:
+            return False
+        return allowed(ctx, node, dst, family, failed, opposite, hybrid)
+
+    monkeypatch.setattr(protect, "_pop_allowed", pop_allowed)
+    t = _lattice(25, 1)
+    with pytest.raises(ValueError, match="conflicting rule") as full:
+        build(t)
+    with pytest.raises(ValueError, match="conflicting rule") as lean:
+        build(t, install_pops=False)
+    assert str(lean.value) == str(full.value)
+    first, second = ("Output", "PopLabelOutput") if outputs_first else ("PopLabelOutput", "Output")
+    assert str(full.value).split(": ", 1)[1].startswith(first)
+    assert f" vs {second}(" in str(full.value)

@@ -1,0 +1,86 @@
+"""Loading a forwarding matrix from its JSON form."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from failover.metrics import ALL_VARIANTS, build_variant
+from failover.rules import ForwardingMatrix
+from failover.topology import generate_erdos_renyi
+
+
+def stored(variant: str, n: int = 10, seed: int = 3):
+    t = generate_erdos_renyi(n, seed)
+    fw = build_variant(t, variant)
+    return t, fw, json.loads(json.dumps(fw.to_json()))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_round_trip(variant):
+    t, fw, data = stored(variant)
+    again = ForwardingMatrix.from_json(data, t)
+    assert again.to_json() == fw.to_json()
+    assert again.tables == fw.tables
+    assert again.groups == fw.groups
+
+
+def _first_rule(data, label="primary", action_type=None):
+    return next(rule for rule in data["rules"]
+                if (label is None or rule["label"] == label)
+                and (action_type is None or rule["action"]["type"] == action_type))
+
+
+def _wrong_n(t, data):
+    data["n"] += 1
+
+
+def _absent_link(t, data):
+    u, v = next((u, v) for u in t.nodes for v in t.nodes
+                if u < v and t.link_between(u, v) is None)
+    _first_rule(data, None, "output")["action"]["link"] = f"{u}-{v}"
+
+
+def _unknown_label(t, data):
+    _first_rule(data, None)["label"] = "bogus:1"
+
+
+def _unknown_action(t, data):
+    _first_rule(data, None)["action"] = {"type": "teleport"}
+
+
+def _non_incident_output(t, data):
+    rule = _first_rule(data, None, "output")
+    link = next(link for link in t.links if rule["node"] not in (link.u, link.v))
+    rule["action"]["link"] = str(link)
+
+
+def _missing_primary(t, data):
+    data["rules"].remove(_first_rule(data))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_wrong_n, "matrix is for 11 nodes, topology has 10"),
+    (_absent_link, "absent from topology"),
+    (_unknown_label, "unknown label"),
+    (_unknown_action, "unknown action type"),
+    (_non_incident_output, "outputs on non-incident"),
+    (_missing_primary, "no primary rule at node"),
+])
+def test_invalid_matrix_is_rejected(spoil, message):
+    t, _fw, data = stored("hybrid")
+    spoil(t, data)
+    with pytest.raises(ValueError, match=message):
+        ForwardingMatrix.from_json(data, t)
+
+
+@pytest.mark.parametrize("field, value", [("node", -1), ("node", 10), ("dst", 10),
+                                          ("dst", "1"), ("src", -1)])
+def test_rule_naming_a_node_outside_the_topology_is_rejected(field, value):
+    t, _fw, data = stored("disjoint-link")
+    _first_rule(data)[field] = value
+    with pytest.raises(ValueError, match="outside 0..9"):
+        ForwardingMatrix.from_json(data, t)
+
+
