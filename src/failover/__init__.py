@@ -3,8 +3,6 @@ deterministic data-plane failover simulator."""
 
 from .baseline import (
     DisjointPair,
-    bhandari_link_disjoint,
-    bhandari_node_disjoint,
     disjoint_rules,
     suurballe_link_disjoint,
     suurballe_node_disjoint,
@@ -20,13 +18,7 @@ from .metrics import (
 )
 from .protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from .rules import ForwardingMatrix, Match, PRIMARY, link_fail, node_fail
-from .spf import (
-    AffectedSets,
-    ShortestPathTree,
-    all_to_all,
-    floyd_warshall_oracle,
-    shortest_tree,
-)
+from .spf import AffectedSets, ShortestPathTree, shortest_tree
 from .topology import (
     FailureScenario,
     Link,

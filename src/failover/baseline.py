@@ -4,8 +4,8 @@ Pairs come from Suurballe's method.  One shortest-path tree per source gives
 every arc a non-negative reduced cost; per destination, a plain Dijkstra
 over those costs, with the first path's arcs reversed at zero cost, finds
 the second path, and cancelling interlacing arc pairs leaves the final two.
-The arc-reversal scheme (negated weights, Bellman-Ford) is the reference the
-tests compare against; no build runs it.
+This is the only pair engine.  Bhandari's arc reversal (negated weights,
+Bellman-Ford), which the tests compare it against, is in ``tests/oracles.py``.
 
 Crankback rules mirror how fully-disjoint protection behaves in practice:
 primary-path rules match on (source, destination, incoming port); a node
@@ -29,18 +29,13 @@ from .rules import (
     Output,
     UncoveredEntry,
 )
-from .spf import (
-    all_shortest_trees,
-    bellman_ford_distances,
-    lex_dijkstra,
-    queued_bellman_ford,
-)
+from .spf import all_shortest_trees, lex_dijkstra
+# Unused here; bound so that perfbench/tracing.py finds them by these names.
+from .spf import bellman_ford_distances, queued_bellman_ford  # noqa: F401
 from .topology import Link, Topology
 
 __all__ = [
     "DisjointPair",
-    "bhandari_link_disjoint",
-    "bhandari_node_disjoint",
     "suurballe_link_disjoint",
     "suurballe_node_disjoint",
     "disjoint_rules",
@@ -86,13 +81,6 @@ def _merge_split_path(path: tuple[int, ...]) -> tuple[int, ...]:
         if not merged or merged[-1] != x:
             merged.append(x)
     return tuple(merged)
-
-
-def _arc_weight(arcs: ArcMap, a: int, b: int) -> float:
-    for v, w in arcs[a]:
-        if v == b:
-            return w
-    raise KeyError((a, b))
 
 
 def _simplify(walk: list[int]) -> tuple[int, ...]:
@@ -151,43 +139,6 @@ def _disjoint_pair(
     return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
 
 
-def _arc_reversal_pair(
-    t: Topology, s: int, d: int, node_disjoint: bool
-) -> Optional[DisjointPair]:
-    """Bhandari's method: reverse the first path's arcs with negated weights
-    and find the second path with Bellman-Ford.  Reference engine only."""
-    if s == d:
-        raise ValueError("source and destination must differ")
-    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
-    arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
-    _, paths1 = lex_dijkstra(lambda u: arcs.get(u, ()), src)
-    if dst not in paths1:
-        return None
-    p1 = paths1[dst]
-    p1_arcs = list(zip(p1, p1[1:]))
-    p1_set = set(p1_arcs)
-    anti = {(b, a) for a, b in p1_arcs}
-    # The anti-parallel direction of a used link is replaced, not kept, so a
-    # physical link is never reused.
-    residual: ArcMap = {}
-    for u, lst in arcs.items():
-        residual[u] = [
-            (v, w) for v, w in lst if (u, v) not in p1_set and (u, v) not in anti
-        ]
-    for a, b in p1_arcs:
-        residual.setdefault(b, []).append((a, -_arc_weight(arcs, a, b)))
-    dist2, paths2 = queued_bellman_ford(lambda u: residual.get(u, ()), src)
-    if dst in dist2:
-        exact = bellman_ford_distances(lambda u: residual.get(u, ()), src)[dst]
-        if dist2[dst] - exact > 1e-9 * max(1.0, abs(exact)):
-            raise AssertionError(
-                "path-restricted Bellman-Ford missed the residual optimum"
-            )
-    if dst not in paths2:
-        return None
-    return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
-
-
 def _untangle(
     s: int, d: int, p1: tuple[int, ...], p2: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -221,16 +172,6 @@ def _make_pair(
     if (wa, a) <= (wb, b):
         return DisjointPair(a, wa, b, wb)
     return DisjointPair(b, wb, a, wa)
-
-
-def bhandari_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
-    """Arc-reversal reference for :func:`suurballe_link_disjoint`."""
-    return _arc_reversal_pair(t, s, d, node_disjoint=False)
-
-
-def bhandari_node_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
-    """Arc-reversal reference for :func:`suurballe_node_disjoint`."""
-    return _arc_reversal_pair(t, s, d, node_disjoint=True)
 
 
 def suurballe_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:

@@ -18,12 +18,19 @@ from .metrics import (
     run_experiment,
 )
 from .rules import ForwardingMatrix
-from .topology import FailureScenario, Topology, load_topology, save_topology, unit_weights
+from .topology import (
+    NO_FAILURE,
+    FailureScenario,
+    Topology,
+    load_topology,
+    save_topology,
+    unit_weights,
+)
 
 
 def _parse_scenario(text: str) -> FailureScenario:
     if text == "none":
-        return FailureScenario.none()
+        return NO_FAILURE
     kind, _, rest = text.partition(":")
     if kind == "link":
         u, v = rest.split("-")
@@ -61,7 +68,7 @@ def _simulate_input_error(t: Topology, args) -> Optional[str]:
 
 def _cmd_generate(args) -> int:
     try:
-        t = _GENERATORS[args.kind][1](args.nodes, args.seed)
+        t = _GENERATORS[args.kind].make(args.nodes, args.seed)
     except ValueError as exc:
         print(f"failover generate: {exc}", file=sys.stderr)
         return 2
@@ -116,22 +123,31 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# How to read each ExperimentConfig field that a flag or a config file line
+# may set.  A field that neither sets keeps its ExperimentConfig default.
+_EVALUATE_FIELDS = {
+    "generator": str,
+    "sizes": lambda text: tuple(int(s) for s in text.split(",")),
+    "runs": int,
+    "seed": int,
+    "variants": lambda text: tuple(v.strip() for v in text.split(",")),
+    "unweighted": lambda text: text == "true",
+}
+
+
 def _cmd_evaluate(args) -> int:
     settings = _read_config_file(args.config) if args.config else {}
-    generator = args.generator or settings.get("generator", "er")
-    sizes = args.sizes or settings.get("sizes", "9,16,25")
-    variants = args.variants or settings.get("variants", ",".join(ALL_VARIANTS))
+    for name in _EVALUATE_FIELDS:
+        if getattr(args, name) is not None:
+            settings[name] = str(getattr(args, name))
     try:
-        config = ExperimentConfig(
-            generator=generator,
-            sizes=tuple(int(s) for s in str(sizes).split(",")),
-            runs=args.runs if args.runs is not None else int(settings.get("runs", "10")),
-            seed=args.seed if args.seed is not None else int(settings.get("seed", "0")),
-            variants=tuple(v.strip() for v in str(variants).split(",")),
-            optimized=not args.no_optimize,
-            unweighted=args.unweighted or settings.get("unweighted", "") == "true",
-            jobs=args.jobs,
-        )
+        given = {name: parse(settings[name])
+                 for name, parse in _EVALUATE_FIELDS.items() if name in settings}
+        if args.no_optimize:
+            given["optimized"] = False
+        if args.jobs is not None:
+            given["jobs"] = args.jobs
+        config = ExperimentConfig(**given)
         config.validate()
     except ValueError as exc:
         print(f"failover evaluate: {exc}", file=sys.stderr)
@@ -177,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="trace one packet under a failure")
     p.add_argument("--topology", required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--scenario", type=_parse_scenario, default=FailureScenario.none())
+    p.add_argument("--scenario", type=_parse_scenario, default=NO_FAILURE)
     p.add_argument("--src", type=int, required=True)
     p.add_argument("--dst", type=int, required=True)
     p.add_argument("--unweighted", action="store_true")
@@ -191,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--variants", help="comma-separated variant names")
     p.add_argument("--no-optimize", action="store_true")
-    p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--unweighted", action="store_const", const="true")
+    p.add_argument("--jobs", type=_positive_int)
     p.add_argument("--csv", help="CSV output path (default: stdout)")
     p.add_argument("--json", help="full JSON report path")
     p.set_defaults(func=_cmd_evaluate)

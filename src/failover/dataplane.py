@@ -18,6 +18,10 @@ A trace ends delivered, dropped (explicit drop, no matching rule, or the
 selected output link is dead; packets never traverse dead links), or
 loop-detected when the ``(node, label, incoming link)`` state repeats.
 Loops indicate a rule-computation bug and are reported as their own class.
+A malformed matrix never makes the walk raise: a group that is not defined,
+a group inside another group's bucket, and an output link that does not
+touch the node each end the packet as dropped, with a reason naming the
+fault.
 
 ``simulate`` walks either matrix form.  On a :class:`ForwardingMatrix` it is
 the reference walk over ``Match`` keys, used for single packets.  On a
@@ -150,7 +154,12 @@ def simulate(
         trace.reason = "source is the failed node"
         return trace
     if isinstance(fw, CompiledMatrix):
-        return _walk_compiled(fw, trace)
+        kind = scenario.kind
+        dead_pair = fw.pair_ids.get((scenario.u, scenario.v), -1) if kind == "link" else -1
+        dead_node = scenario.v if kind == "node" else None
+        if fw.memoizable:
+            return _walk_shared(fw, trace, dead_pair, dead_node)
+        return _walk_compiled(fw, trace, dead_pair, dead_node)
     node = src
     label = PRIMARY
     in_link: Optional[Link] = None
@@ -167,9 +176,19 @@ def simulate(
             trace.reason = "no matching rule"
             return trace
         if isinstance(action, GroupRef):
-            action = _fire_group(fw, action.group_id, scenario)
-            if action is None:
+            entry = fw.groups.get(action.group_id)
+            if entry is None:
+                trace.reason = f"group {action.group_id} is not defined"
+                return trace
+            for watch, bucket_action in entry.buckets:
+                if watch is None or scenario.link_is_live(watch):
+                    action = bucket_action
+                    break
+            else:
                 trace.reason = "no live group bucket"
+                return trace
+            if isinstance(action, GroupRef):
+                trace.reason = f"group {action.group_id} is nested in a group bucket"
                 return trace
         if isinstance(action, Drop):
             trace.reason = "drop rule"
@@ -185,6 +204,9 @@ def simulate(
         if not scenario.link_is_live(out):
             trace.reason = f"output link {out} is dead"
             return trace
+        if node != out.u and node != out.v:
+            trace.reason = f"output link {out} does not touch node {node}"
+            return trace
         trace.steps.append(TraceStep(node, label, out, out.weight))
         trace.total_weight += out.weight
         in_link = out
@@ -195,21 +217,13 @@ def simulate(
     return trace
 
 
-def _fire_group(fw: ForwardingMatrix, group_id: int, scenario: FailureScenario):
-    for bucket in fw.groups[group_id].buckets:
-        if bucket.watch is None or scenario.link_is_live(bucket.watch):
-            return bucket.action
-    return None
-
-
 # Compiled actions are tuples whose first item is their kind:
 #   (_FORWARD, label_id or -1 to keep the label, link, weight, link_id,
 #    pair_id, u, v)
 #   (_GROUP, buckets) with buckets of (watch_pair_id, watch_u, watch_v,
 #    compiled action), watch_pair_id None for a bucket that watches nothing
-#   (_DROP,)
-#   (_RAISE, exception type, message): the reference walk fails here.
-_FORWARD, _GROUP, _DROP, _RAISE = range(4)
+#   (_DROP, reason)
+_FORWARD, _GROUP, _DROP = range(3)
 
 
 class CompiledMatrix:
@@ -250,17 +264,16 @@ class CompiledMatrix:
         self.memo: tuple[Optional[int], dict] = (None, {})
 
 
-_DROP_ACTION = (_DROP,)
+_DROP_ACTION = (_DROP, "drop rule")
 
 
 def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     """Intern ``fw``'s labels and links and compile every rule and group once.
 
-    Links of ``t`` take the first link ids, in ``t.links`` order.  Compiling
-    never raises on a matrix the reference walk accepts: a rule that walk
-    would fail on (an unresolved or nested group) compiles to an action that
-    raises the same error when a packet reaches it.  Node ids in rule keys
-    must be non-negative ints, as in every :class:`Topology`.
+    Links of ``t`` take the first link ids, in ``t.links`` order.  A group
+    that is not defined, or nested in a bucket, compiles to a drop with the
+    reason the reference walk gives when a packet reaches it.  Node ids in
+    rule keys must be non-negative ints, as in every :class:`Topology`.
     """
     label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
     labels: list[FailureLabel] = [PRIMARY]
@@ -307,13 +320,13 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
         if compiled is None:
             entry = fw.groups.get(group_id)
             if entry is None:
-                compiled = (_RAISE, KeyError, group_id)
+                compiled = (_DROP, f"group {group_id} is not defined")
             else:
                 buckets = []
                 for watch, bucket_action in entry.buckets:
                     if isinstance(bucket_action, GroupRef):
-                        compiled_bucket = (
-                            _RAISE, AttributeError, "'GroupRef' object has no attribute 'link'")
+                        compiled_bucket = (_DROP, f"group {bucket_action.group_id} "
+                                                  "is nested in a group bucket")
                     else:
                         compiled_bucket = action_of(bucket_action)
                     if watch is None:
@@ -387,14 +400,13 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in)
 
 
-def _walk_compiled(cm: CompiledMatrix, trace: Trace) -> Trace:
+def _walk_compiled(cm: CompiledMatrix, trace: Trace, dead_pair: int,
+                   dead_node: Optional[int]) -> Trace:
     """The reference walk of :func:`simulate` over a compiled matrix, with
-    liveness tested on ints and crankback summed along the way."""
-    src, dst, scenario = trace.src, trace.dst, trace.scenario
-    dead_pair = cm.pair_ids.get((scenario.u, scenario.v), -1) if scenario.kind == "link" else -1
-    dead_node = scenario.v if scenario.kind == "node" else None
-    if cm.memoizable:
-        return _walk_shared(cm, trace, dead_pair, dead_node)
+    liveness tested on ints and crankback summed along the way.  The
+    scenario kills the links of pair id ``dead_pair`` (-1 for none) and
+    every link at ``dead_node``."""
+    src, dst = trace.src, trace.dst
     tables, keyed, labels, fallbacks = cm.tables, cm.keyed, cm.labels, cm.fallbacks
     n_nodes, n_in = cm.n_nodes, cm.n_in
     n_labels = len(labels)
@@ -452,26 +464,26 @@ def _walk_compiled(cm: CompiledMatrix, trace: Trace) -> Trace:
                 break
             kind = action[0]
         if kind != _FORWARD:
-            if kind == _DROP:
-                trace.reason = "drop rule"
-                break
-            raise action[1](action[2])
+            trace.reason = action[1]
+            break
         _, new_label, link, weight, link_id, pair, u, v = action
         if new_label >= 0:
             label = new_label
         if pair == dead_pair or u == dead_node or v == dead_node:
             trace.reason = f"output link {link} is dead"
             break
-        steps.append(TraceStep(node, labels[label], link, weight))
-        total += weight
         if node == u:
             arc = 2 * pair
-            node = v
+            nxt = v
         elif node == v:
             arc = 2 * pair + 1
-            node = u
+            nxt = u
         else:
-            raise ValueError(f"node {node} is not an endpoint of {link}")
+            trace.reason = f"output link {link} does not touch node {node}"
+            break
+        steps.append(TraceStep(node, labels[label], link, weight))
+        total += weight
+        node = nxt
         back = unmatched.get(arc ^ 1)
         if back:
             unmatched[arc ^ 1] = back - 1
@@ -548,26 +560,26 @@ def _walk_shared(cm: CompiledMatrix, trace: Trace, dead_pair: int,
                 break
             kind = action[0]
         if kind != _FORWARD:
-            if kind == _DROP:
-                trace.reason = "drop rule"
-                break
-            raise action[1](action[2])
+            trace.reason = action[1]
+            break
         _, new_label, link, weight, link_id, pair, u, v = action
         if new_label >= 0:
             label = new_label
         if pair == dead_pair or u == dead_node or v == dead_node:
             trace.reason = f"output link {link} is dead"
             break
+        if node == u:
+            nxt = v
+        elif node == v:
+            nxt = u
+        else:
+            trace.reason = f"output link {link} does not touch node {node}"
+            break
         steps.append(TraceStep(node, labels[label], link, weight))
         weights.append(weight)
         pairs.append(pair)
         total += weight
-        if node == u:
-            node = v
-        elif node == v:
-            node = u
-        else:
-            raise ValueError(f"node {node} is not an endpoint of {link}")
+        node = nxt
         in_link = link_id
     else:
         steps.append(TraceStep(node, labels[label], None, 0.0))

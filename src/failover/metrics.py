@@ -15,9 +15,9 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from statistics import fmean
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .baseline import disjoint_rules
 from .dataplane import LOOP, compile_matrix, simulate
@@ -46,7 +46,6 @@ __all__ = [
     "CSV_HEADER",
     "ALL_VARIANTS",
     "build_variant",
-    "check_size",
 ]
 
 CSV_HEADER = (
@@ -216,29 +215,18 @@ def build_variant(t: Topology, variant: str, optimized: bool = True) -> Forwardi
     return optimize(fw, t) if optimized else fw
 
 
-_GENERATORS: dict[str, tuple[str, Callable[[int, int], Topology]]] = {
-    "er": ("erdos-renyi", generate_erdos_renyi),
-    "erdos-renyi": ("erdos-renyi", generate_erdos_renyi),
-    "lattice": ("lattice", generate_lattice),
-    "waxman": ("waxman", generate_waxman),
+class _Generator(NamedTuple):
+    network: str
+    make: Callable[[int, int], Topology]  # (n, seed) -> topology
+    check_size: Callable[[int], None]  # raises ValueError for a size make rejects
+
+
+_GENERATORS: dict[str, _Generator] = {
+    "er": _Generator("erdos-renyi", generate_erdos_renyi, check_node_count),
+    "erdos-renyi": _Generator("erdos-renyi", generate_erdos_renyi, check_node_count),
+    "lattice": _Generator("lattice", generate_lattice, check_lattice_size),
+    "waxman": _Generator("waxman", generate_waxman, check_node_count),
 }
-
-# Per network: raises ValueError for a size its generator rejects.
-_SIZE_CHECKS: dict[str, Callable[[int], None]] = {
-    "erdos-renyi": check_node_count,
-    "lattice": check_lattice_size,
-    "waxman": check_node_count,
-}
-
-
-def check_size(generator: str, n: int) -> None:
-    """Raise ``ValueError`` unless generator ``generator`` can make ``n`` nodes."""
-    if generator not in _GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
-    try:
-        _SIZE_CHECKS[_GENERATORS[generator][0]](n)
-    except ValueError as exc:
-        raise ValueError(f"size {n}: {exc}") from None
 
 
 @dataclass
@@ -255,7 +243,7 @@ class ExperimentConfig:
     def network_name(self) -> str:
         if self.generator not in _GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        return _GENERATORS[self.generator][0]
+        return _GENERATORS[self.generator].network
 
     def validate(self) -> None:
         """Raise ``ValueError`` for a configuration no run can carry out,
@@ -269,7 +257,10 @@ class ExperimentConfig:
             if variant not in ALL_VARIANTS:
                 raise ValueError(f"unknown variant {variant!r}")
         for size in self.sizes:
-            check_size(self.generator, size)
+            try:
+                _GENERATORS[self.generator].check_size(size)
+            except ValueError as exc:
+                raise ValueError(f"size {size}: {exc}") from None
 
 
 @dataclass
@@ -303,10 +294,10 @@ class ExperimentReport:
 
 
 def _run_once(args) -> tuple[list[MetricsRow], list[str]]:
-    config, network, size, run_idx, seed = args
-    name, generator = _GENERATORS[config.generator]
+    config, size, run_idx, seed = args
+    network, make, _check = _GENERATORS[config.generator]
     try:
-        t = generator(size, seed)
+        t = make(size, seed)
     except GenerationError as exc:
         return [], [f"size={size} run={run_idx} skipped: {exc}"]
     if config.unweighted:
@@ -316,7 +307,7 @@ def _run_once(args) -> tuple[list[MetricsRow], list[str]]:
         start = time.perf_counter()
         fw = build_variant(t, variant, optimized=config.optimized)
         elapsed = time.perf_counter() - start
-        row = measure(fw, t, network=name)
+        row = measure(fw, t, network=network)
         row.compute_seconds = elapsed
         rows.append(row)
     return rows, []
@@ -330,18 +321,17 @@ def _run_indexed(args):
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Generate, build, simulate, and aggregate; deterministic per seed."""
     config.validate()
-    network = config.network_name()
     master = random.Random(config.seed)
     tasks = []
     for size in config.sizes:
         for run_idx in range(config.runs):
-            tasks.append((config, network, size, run_idx, master.randrange(2**63)))
+            tasks.append((config, size, run_idx, master.randrange(2**63)))
     if config.jobs > 1:
         import multiprocessing
 
         # One task at a time, largest sizes first, so that no worker is left
         # with a long tail of the costliest tasks; results go back in order.
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][2])
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
         results = [None] * len(tasks)
         with multiprocessing.Pool(config.jobs) as pool:
             for i, result in pool.imap_unordered(_run_indexed, [(i, tasks[i]) for i in order],
@@ -357,22 +347,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-_NUMERIC_FIELDS = (
-    "flow_entries",
-    "group_fwd_entries",
-    "distinct_groups",
-    "primary_ratio",
-    "backup_avg",
-    "backup_min",
-    "backup_max",
-    "crankback_avg",
-    "crankback_max",
-    "base_entries",
-    "extra_entries",
-    "uncovered_cases",
-    "loop_traces",
-    "compute_seconds",
-)
+# Every float field of a row is averaged over its group of runs.
+_NUMERIC_FIELDS = tuple(f.name for f in fields(MetricsRow) if f.type in (float, "float"))
 
 
 def _aggregate(rows: list[MetricsRow]) -> list[MetricsRow]:

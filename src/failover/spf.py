@@ -12,15 +12,14 @@ path is the preferred path of its own origin.
 
 ``lex_dijkstra`` is the one Dijkstra loop: ``shortest_tree`` runs it over a
 topology view and the disjoint-pair baselines over their arc maps.  The
-queued Bellman-Ford and Floyd-Warshall are references that no build runs.
-Distances are exact minima over left-associated float sums, so Dijkstra and
-the queued Bellman-Ford agree bit-for-bit; Floyd-Warshall associates sums
-differently and is compared with a tolerance.
+queued Bellman-Ford pair runs in no build; the tests' arc-reversal oracle
+(``tests/oracles.py``) runs it.  Distances are exact minima over
+left-associated float sums, so Dijkstra and the queued Bellman-Ford agree
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
@@ -34,11 +33,9 @@ __all__ = [
     "DisconnectedTopologyError",
     "shortest_tree",
     "all_shortest_trees",
-    "all_to_all",
     "lex_dijkstra",
     "queued_bellman_ford",
     "bellman_ford_distances",
-    "floyd_warshall_oracle",
 ]
 
 # Affected destinations per outgoing arc: (node, link) -> destinations whose
@@ -136,15 +133,6 @@ def primary_matrix_from_trees(
     return fw, affected
 
 
-def all_to_all(
-    t: Topology, counter: Optional[SpCounter] = None
-) -> tuple[ForwardingMatrix, AffectedSets]:
-    """All-to-all primary forwarding rules (exactly |N|·(|N|−1) entries)
-    plus the per-arc affected destination sets."""
-    trees = all_shortest_trees(t, counter)
-    return primary_matrix_from_trees(t, trees)
-
-
 def lex_dijkstra(
     arcs_of: Callable[[int], Iterable[tuple]],
     src: int,
@@ -236,29 +224,4 @@ def bellman_ford_distances(
                 if v not in queued:
                     queue.append(v)
                     queued.add(v)
-    return dist
-
-
-def floyd_warshall_oracle(t: Topology) -> list[list[float]]:
-    """All-pairs distance matrix; cross-validation oracle only.  Sums may
-    differ from Dijkstra's by float association, compare with a tolerance."""
-    n = t.n
-    inf = math.inf
-    dist = [[inf] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0.0
-    for link in t.links:
-        dist[link.u][link.v] = link.weight
-        dist[link.v][link.u] = link.weight
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == inf:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
     return dist

@@ -4,17 +4,121 @@ Everything here is deliberately naive: exhaustive enumeration, remove-and-
 retest connectivity, and path reconstruction from first principles.  The
 protection oracles are built on ``shortest_tree`` only (which is itself
 validated against enumeration) and never touch the rule machinery they
-verify.
+verify.  Two second engines check the library's own: Floyd-Warshall for
+shortest distances, and Bhandari's arc reversal for min-sum disjoint pairs.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations
 from typing import Optional
 
-from failover.spf import ShortestPathTree, shortest_tree
+from failover.baseline import (
+    ArcMap,
+    DisjointPair,
+    _arc_map,
+    _make_pair,
+    _split_arc_map,
+    _untangle,
+)
+from failover.rules import ForwardingMatrix
+from failover.spf import (
+    AffectedSets,
+    ShortestPathTree,
+    all_shortest_trees,
+    bellman_ford_distances,
+    lex_dijkstra,
+    primary_matrix_from_trees,
+    queued_bellman_ford,
+    shortest_tree,
+)
 from failover.topology import FailureScenario, Link, NO_FAILURE, Topology
+
+
+def all_to_all(t: Topology) -> tuple[ForwardingMatrix, AffectedSets]:
+    """All-to-all primary rules plus the per-arc affected destination sets."""
+    return primary_matrix_from_trees(t, all_shortest_trees(t))
+
+
+def floyd_warshall(t: Topology) -> list[list[float]]:
+    """All-pairs distance matrix.  Sums may differ from Dijkstra's by float
+    association, compare with a tolerance."""
+    n = t.n
+    inf = math.inf
+    dist = [[inf] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0.0
+    for link in t.links:
+        dist[link.u][link.v] = link.weight
+        dist[link.v][link.u] = link.weight
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik == inf:
+                continue
+            di = dist[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
+    return dist
+
+
+def _arc_weight(arcs: ArcMap, a: int, b: int) -> float:
+    for v, w in arcs[a]:
+        if v == b:
+            return w
+    raise KeyError((a, b))
+
+
+def _arc_reversal_pair(
+    t: Topology, s: int, d: int, node_disjoint: bool
+) -> Optional[DisjointPair]:
+    """Bhandari's method: reverse the first path's arcs with negated weights
+    and find the second path with Bellman-Ford."""
+    if s == d:
+        raise ValueError("source and destination must differ")
+    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
+    arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
+    _, paths1 = lex_dijkstra(lambda u: arcs.get(u, ()), src)
+    if dst not in paths1:
+        return None
+    p1 = paths1[dst]
+    p1_arcs = list(zip(p1, p1[1:]))
+    p1_set = set(p1_arcs)
+    anti = {(b, a) for a, b in p1_arcs}
+    # The anti-parallel direction of a used link is replaced, not kept, so a
+    # physical link is never reused.
+    residual: ArcMap = {}
+    for u, lst in arcs.items():
+        residual[u] = [
+            (v, w) for v, w in lst if (u, v) not in p1_set and (u, v) not in anti
+        ]
+    for a, b in p1_arcs:
+        residual.setdefault(b, []).append((a, -_arc_weight(arcs, a, b)))
+    dist2, paths2 = queued_bellman_ford(lambda u: residual.get(u, ()), src)
+    if dst in dist2:
+        exact = bellman_ford_distances(lambda u: residual.get(u, ()), src)[dst]
+        if dist2[dst] - exact > 1e-9 * max(1.0, abs(exact)):
+            raise AssertionError(
+                "path-restricted Bellman-Ford missed the residual optimum"
+            )
+    if dst not in paths2:
+        return None
+    return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
+
+
+def bhandari_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
+    """Arc-reversal reference for ``suurballe_link_disjoint``."""
+    return _arc_reversal_pair(t, s, d, node_disjoint=False)
+
+
+def bhandari_node_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
+    """Arc-reversal reference for ``suurballe_node_disjoint``."""
+    return _arc_reversal_pair(t, s, d, node_disjoint=True)
 
 
 def connected_after_removal(t: Topology, removed: Optional[int]) -> bool:

@@ -13,12 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from failover.baseline import (
-    bhandari_link_disjoint,
-    bhandari_node_disjoint,
-    suurballe_link_disjoint,
-    suurballe_node_disjoint,
-)
+from failover.baseline import suurballe_link_disjoint, suurballe_node_disjoint
 from failover.dataplane import simulate
 from failover.metrics import ExperimentConfig, measure, run_experiment
 from failover.protect import hybrid_rules, optimize, per_link_rules, per_node_rules
@@ -30,7 +25,13 @@ from failover.topology import (
 )
 
 from conftest import complete, square, theta_cut, trap, triangle, weighted_square
-from oracles import DetourOracle, brute_best_disjoint_pair, path_weight
+from oracles import (
+    DetourOracle,
+    bhandari_link_disjoint,
+    bhandari_node_disjoint,
+    brute_best_disjoint_pair,
+    path_weight,
+)
 
 USNET_PATH = Path(__file__).parent / "data" / "usnet.topo"
 

@@ -7,8 +7,6 @@ import json
 import pytest
 
 from failover.baseline import (
-    bhandari_link_disjoint,
-    bhandari_node_disjoint,
     disjoint_rules,
     suurballe_link_disjoint,
     suurballe_node_disjoint,
@@ -33,7 +31,12 @@ from conftest import (
     trap,
     triangle,
 )
-from oracles import brute_best_disjoint_pair, path_link_pairs
+from oracles import (
+    bhandari_link_disjoint,
+    bhandari_node_disjoint,
+    brute_best_disjoint_pair,
+    path_link_pairs,
+)
 
 
 def naive_remove_shortest(t: Topology, s: int, d: int):
@@ -158,6 +161,14 @@ def test_production_pairs_equal_arc_reversal_reference(make, node_disjoint):
             assert (a is None) == (b is None), (s, d)
             if a is not None:
                 assert (a.primary, a.backup) == (b.primary, b.backup), (s, d)
+
+
+def test_library_exports_no_oracle():
+    import failover
+
+    for name in ("bhandari_link_disjoint", "bhandari_node_disjoint", "floyd_warshall_oracle",
+                 "all_to_all"):
+        assert not hasattr(failover, name), name
 
 
 class TestDisjointRules:

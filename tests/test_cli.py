@@ -197,3 +197,40 @@ def test_simulate_rejects_a_malformed_matrix(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("failover simulate: ") and err.count("\n") == 1
+
+
+def test_evaluate_passes_only_the_values_it_is_given(tmp_path, monkeypatch, capsys):
+    # Defaults other than ExperimentConfig's show which values the CLI set.
+    from dataclasses import dataclass
+
+    import failover.cli as cli
+    from failover.metrics import ExperimentConfig, ExperimentReport
+
+    @dataclass
+    class OtherDefaults(ExperimentConfig):
+        generator: str = "lattice"
+        sizes: tuple[int, ...] = (16,)
+        runs: int = 2
+        seed: int = 3
+        variants: tuple[str, ...] = ("per-link",)
+
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        return ExperimentReport(config)
+
+    monkeypatch.setattr(cli, "ExperimentConfig", OtherDefaults)
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("sizes=9\nseed=4\nunweighted=true\n")
+    assert main(["evaluate"]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--seed", "5", "--jobs", "2",
+                 "--no-optimize"]) == 0
+    assert main(["evaluate", "--unweighted", "--variants", "hybrid"]) == 0
+    capsys.readouterr()
+    assert seen == [
+        OtherDefaults(),
+        OtherDefaults(sizes=(9,), seed=5, unweighted=True, jobs=2, optimized=False),
+        OtherDefaults(unweighted=True, variants=("hybrid",)),
+    ]

@@ -192,23 +192,49 @@ class TestHandMadeMatrices:
 
 
 @pytest.mark.parametrize("broken", ["nested", "unresolved"])
-def test_broken_groups_raise_only_when_reached(broken):
+def test_broken_groups_drop_only_when_reached(broken):
     t = square()
     fw = _ring(t)
     l12, l01 = t.link_between(1, 2), t.link_between(0, 1)
     if broken == "nested":
         fw.groups[7] = GroupEntry(7, 1, (Bucket(l12, GroupRef(8)), Bucket(l01, Output(l01))))
+        reason = "group 8 is nested in a group bucket"
+    else:
+        reason = "group 7 is not defined"
     fw.set_rule(1, Match(PRIMARY, 2), GroupRef(7))
-    compiled = compile_matrix(fw, t)  # compiling never raises
-    assert trace_key(simulate(compiled, t, NO_FAILURE, 0, 1)) == trace_key(
-        simulate(fw, t, NO_FAILURE, 0, 1))
+    keyed = _ring(t)
+    keyed.groups = fw.groups
+    keyed.tables = [dict(table) for table in fw.tables]
+    keyed.set_rule(3, Match(PRIMARY, 0, 3, None), Output(t.link_between(0, 3)))
+    for matrix in (fw, keyed):
+        compiled = compile_matrix(matrix, t)
+        assert compiled.memoizable == (matrix is fw)
+        assert trace_key(simulate(compiled, t, NO_FAILURE, 0, 1)) == trace_key(
+            simulate(matrix, t, NO_FAILURE, 0, 1))
+        for walked in (matrix, compiled):
+            trace = simulate(walked, t, NO_FAILURE, 0, 2)
+            assert (trace.outcome, trace.reason, trace.node_sequence) == (
+                "dropped", reason, (0,)), type(walked).__name__
+        assert_same_traces(matrix, t, every_scenario(t))
 
-    def raised(matrix):
-        with pytest.raises((AttributeError, KeyError)) as caught:
-            simulate(matrix, t, NO_FAILURE, 0, 2)
-        return caught.type, str(caught.value)
 
-    assert raised(compiled) == raised(fw)
+def test_output_link_that_does_not_touch_the_node():
+    # Node 1 sends packets toward 3 out of link 2-3.  Both walks drop them
+    # at 1 without recording a hop out of 1.
+    t = square()
+    l23 = t.link_between(2, 3)
+    for mode in ("per-link", "disjoint-link"):
+        fw = _ring(t, mode)
+        fw.set_rule(1, Match(PRIMARY, 3), Output(l23))
+        if mode == "disjoint-link":
+            fw.set_rule(0, Match(PRIMARY, 3, 0, None), Output(t.link_between(0, 1)))
+        assert compile_matrix(fw, t).memoizable == (mode == "per-link")
+        assert_same_traces(fw, t, every_scenario(t))
+        assert_same_traces_in_every_order(fw, t, every_scenario(t))
+        for walked in (fw, compile_matrix(fw, t)):
+            trace = simulate(walked, t, NO_FAILURE, 0, 3)
+            assert (trace.outcome, trace.reason, trace.node_sequence, trace.total_weight) == (
+                "dropped", "output link 2-3 does not touch node 1", (0,), 1.0)
 
 
 @pytest.mark.parametrize("variant", ["per-link", "disjoint-node"])
@@ -423,12 +449,16 @@ def two_connected_graphs(draw):
 
 def random_matrix(t: Topology, rng: random.Random) -> ForwardingMatrix:
     """Shortest-path primary rules overlaid with random label rules, groups
-    and drops, so that walks change labels, detour, loop and drop."""
+    and drops, so that walks change labels, detour, loop and drop.  Some
+    rules are malformed: a group that is not defined, a group nested in a
+    bucket, an output link that does not touch its node."""
     fw, _ = primary_matrix_from_trees(t, all_shortest_trees(t))
     labels = [link_fail(t.links[0].u, t.links[0].v), node_fail(rng.choice(t.nodes))]
 
     def forward(node):
-        link = rng.choice([link for link in t.links if node in (link.u, link.v)])
+        # Now and then a link that does not touch the node.
+        links = t.links if rng.random() < 0.1 else [l for l in t.links if node in (l.u, l.v)]
+        link = rng.choice(links)
         return rng.choice([Output(link), PushLabelOutput(rng.choice(labels), link),
                            PopLabelOutput(link), RewriteLabelOutput(rng.choice(labels), link)])
 
@@ -441,6 +471,9 @@ def random_matrix(t: Topology, rng: random.Random) -> ForwardingMatrix:
             forward(node),
             fw.intern_group(node, (Bucket(watch, forward(node)),
                                    Bucket(rng.choice([None, watch]), forward(node)))),
+            GroupRef(len(fw.groups) + 100),  # unresolved
+            fw.intern_group(node, (Bucket(watch, GroupRef(rng.randrange(len(fw.groups) + 1))),
+                                   Bucket(None, forward(node)))),  # nested
         ])
         fw.set_rule(node, Match(label, dst), action)
     return fw

@@ -17,10 +17,10 @@ from failover.metrics import (
     run_experiment,
 )
 from failover.protect import hybrid_rules, per_link_rules
-from failover.spf import all_to_all, all_shortest_trees
+from failover.spf import all_shortest_trees
 from failover.topology import FailureScenario, generate_erdos_renyi
 
-from oracles import DetourOracle, path_weight
+from oracles import DetourOracle, all_to_all, path_weight
 
 
 class TestMeasure:
@@ -187,7 +187,8 @@ def test_generation_failure_is_noted_and_run_skipped(monkeypatch):
     def explode(n, seed):
         raise GenerationError("no luck")
 
-    monkeypatch.setitem(metrics._GENERATORS, "er", ("erdos-renyi", explode))
+    monkeypatch.setitem(metrics._GENERATORS, "er",
+                        metrics._GENERATORS["er"]._replace(make=explode))
     report = run_experiment(
         ExperimentConfig(generator="er", sizes=(9,), runs=2, seed=0, variants=("per-link",))
     )
@@ -217,7 +218,7 @@ def test_rejects_sizes_the_generator_cannot_make(generator, size, monkeypatch):
         raise AssertionError("generated before the size was checked")
 
     monkeypatch.setitem(metrics._GENERATORS, generator,
-                        (metrics._GENERATORS[generator][0], unreachable))
+                        metrics._GENERATORS[generator]._replace(make=unreachable))
     with pytest.raises(ValueError, match=f"size {size}"):
         run_experiment(ExperimentConfig(generator=generator, sizes=(9, size), runs=1))
 
@@ -235,3 +236,15 @@ def test_two_workers_give_the_rows_of_one():
         return report.to_csv(), data
 
     assert rows(2) == rows(1)
+
+
+def test_aggregate_averages_every_float_field():
+    from dataclasses import fields
+
+    import failover.metrics as metrics
+    from failover.metrics import MetricsRow
+
+    names = [f.name for f in fields(MetricsRow)][3:]  # after network, variant, size
+    rows = [MetricsRow("erdos-renyi", "per-link", 9, *[x] * len(names)) for x in (1.0, 3.0)]
+    (agg,) = metrics._aggregate(rows)
+    assert {name: getattr(agg, name) for name in names} == dict.fromkeys(names, 2.0)

@@ -11,9 +11,7 @@ from failover.rules import Output, PRIMARY
 from failover.spf import (
     DisconnectedTopologyError,
     SpCounter,
-    all_to_all,
     all_shortest_trees,
-    floyd_warshall_oracle,
     lex_dijkstra,
     queued_bellman_ford,
     shortest_tree,
@@ -21,7 +19,7 @@ from failover.spf import (
 from failover.topology import FailureScenario, Link, Topology, generate_erdos_renyi
 
 from conftest import path3, square, triangle, weighted_square
-from oracles import brute_shortest
+from oracles import all_to_all, brute_shortest, floyd_warshall
 
 
 class TestShortestTree:
@@ -180,11 +178,11 @@ class TestAllToAll:
 
 class TestEngineAgreement:
     def test_floyd_warshall_triangle(self, unit_triangle):
-        dist = floyd_warshall_oracle(unit_triangle)
+        dist = floyd_warshall(unit_triangle)
         assert all(dist[i][j] == 1.0 for i in range(3) for j in range(3) if i != j)
 
     def test_floyd_warshall_square(self, unit_square):
-        dist = floyd_warshall_oracle(unit_square)
+        dist = floyd_warshall(unit_square)
         assert dist[0][2] == 2.0
 
     def test_three_engines_agree_on_random_graphs(self):
@@ -196,7 +194,7 @@ class TestEngineAgreement:
 
         for seed in range(100):
             t = generate_erdos_renyi(16, seed)
-            fw_dist = floyd_warshall_oracle(t)
+            fw_dist = floyd_warshall(t)
             for s in t.nodes:
                 tree = shortest_tree(t, s)
                 bf_dist, bf_paths = queued_bellman_ford(topology_arcs(t), s)
