@@ -82,9 +82,10 @@ def _cmd_compute(args) -> int:
     if args.unweighted:
         t = unit_weights(t)
     fw = build_variant(t, args.variant, optimized=not args.no_optimize)
+    # json.dumps without indent uses the C encoder; json.dump never does.
+    text = json.dumps(fw.to_json(), sort_keys=True)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(fw.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(
         f"wrote {args.out}: {fw.rule_count()} rules, "
         f"{fw.distinct_group_count()} groups, {len(fw.uncovered)} uncovered"
@@ -112,15 +113,10 @@ def _cmd_simulate(args) -> int:
     return 0 if trace.delivered else 1
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 # How to read each ExperimentConfig field that a flag or a config file line
@@ -131,18 +127,40 @@ _EVALUATE_FIELDS = {
     "runs": int,
     "seed": int,
     "variants": lambda text: tuple(v.strip() for v in text.split(",")),
-    "unweighted": lambda text: text == "true",
+    "unweighted": _parse_bool,
 }
 
 
+def _read_config_file(path: str) -> dict[str, str]:
+    """The ``key=value`` lines of ``path``; raises ``ValueError`` on a key
+    that is not in ``_EVALUATE_FIELDS``."""
+    values: dict[str, str] = {}
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _EVALUATE_FIELDS:
+            raise ValueError(f"{path}: unknown key {key!r}; "
+                             f"known keys: {', '.join(_EVALUATE_FIELDS)}")
+        values[key] = value.strip()
+    return values
+
+
 def _cmd_evaluate(args) -> int:
-    settings = _read_config_file(args.config) if args.config else {}
-    for name in _EVALUATE_FIELDS:
-        if getattr(args, name) is not None:
-            settings[name] = str(getattr(args, name))
     try:
-        given = {name: parse(settings[name])
-                 for name, parse in _EVALUATE_FIELDS.items() if name in settings}
+        settings = _read_config_file(args.config) if args.config else {}
+        for name in _EVALUATE_FIELDS:
+            if getattr(args, name) is not None:
+                settings[name] = str(getattr(args, name))
+        given = {}
+        for name, parse in _EVALUATE_FIELDS.items():
+            if name in settings:
+                try:
+                    given[name] = parse(settings[name])
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
         if args.no_optimize:
             given["optimized"] = False
         if args.jobs is not None:

@@ -10,17 +10,40 @@ makes every downstream artifact (affected sets, label pop points, metrics)
 a pure function of the topology, and it composes: the suffix of a preferred
 path is the preferred path of its own origin.
 
-``lex_dijkstra`` is the one Dijkstra loop: ``shortest_tree`` runs it over a
-topology view and the disjoint-pair baselines over their arc maps.  The
-queued Bellman-Ford pair runs in no build; the tests' arc-reversal oracle
-(``tests/oracles.py``) runs it.  Distances are exact minima over
+``lex_dijkstra`` is the one Dijkstra loop: ``shortest_tree`` runs it over the
+topology's adjacency and the disjoint-pair baselines over their arc maps.
+The queued Bellman-Ford pair runs in no build; the tests' arc-reversal
+oracle (``tests/oracles.py``) runs it.  Distances are exact minima over
 left-associated float sums, so Dijkstra and the queued Bellman-Ford agree
 bit-for-bit.
+
+A detour tree (one failed link or node) is seeded from the source's
+unrestricted tree.  Call a node dead when its preferred path touches the
+failed element: the subtree below the failed tree link, or below the failed
+node.  Every other node keeps its ``(dist, path)``, and only the dead set is
+searched, from a heap of the live arcs that enter it.  This is exact:
+
+* Dijkstra's keys are the unique solution of ``K(src) = (0, (src,))`` and
+  ``K(x) = min over arcs (u, x) of (d(u) + w, p(u) + (x,))``, because each
+  extension is strictly larger than the key it extends.  So a seeded result
+  that satisfies these equations in the surviving graph is the unseeded one.
+* They hold at every dead node by the search itself.  At a live node ``x``
+  its tree parent is live and its arc survives, so ``K(x)`` is still
+  reached.  No live neighbour gives less, as before the failure.  A dead
+  neighbour ``y`` cannot give less in exact arithmetic, since the surviving
+  graph's paths are a subset.  In floats ``d'(y) > d(y)`` may still round to
+  ``d'(y) + w == d(x)``; this needs ``d(y) + w == d(x)`` already, so only
+  those arcs are checked after the search, and a violation falls back to
+  searching every node.
+* An early stop settles every node whose key is at or below the last
+  target's, so the seeded tree keeps exactly the inherited nodes with such
+  keys; the largest-keyed inherited target goes back on the heap so that
+  the search runs that far.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from .rules import MODE_SHORTEST, Match, Output, PRIMARY, ForwardingMatrix
@@ -82,27 +105,134 @@ def shortest_tree(
     excluded: FailureScenario = NO_FAILURE,
     targets: Optional[Iterable[int]] = None,
     counter: Optional[SpCounter] = None,
+    primary: Optional[ShortestPathTree] = None,
 ) -> ShortestPathTree:
-    """Dijkstra from ``src`` over ``t``, or over a filter view of ``t`` minus
-    ``excluded`` when something is excluded.
+    """Dijkstra from ``src`` over ``t`` minus ``excluded``.
 
     If ``targets`` is given the search may stop once all reachable targets
     are settled; their distances equal the unrestricted run's.  Unreachable
     targets end up in ``tree.unreachable`` rather than raising.
+
+    With something excluded, the search is seeded from ``primary``, the
+    full unrestricted tree of ``src`` as this function returns it; it is
+    computed here when not given.  The result does not depend on it.
     """
     if counter is not None:
         counter.count += 1
     want = None if targets is None else set(targets)
-    arcs_of = t.neighbors if excluded.kind == "none" else t.view(excluded).neighbors
-    dist, paths = lex_dijkstra(arcs_of, src, want)
-    next_link: dict[int, Link] = {}
-    for dst, path in paths.items():
-        if dst != src:
-            link = t.link_between(src, path[1])
-            assert link is not None
-            next_link[dst] = link
+    if excluded.kind == "none":
+        return _tree(t, src, *lex_dijkstra(t.neighbors, src, want), want)
+    if primary is None:
+        primary = _tree(t, src, *lex_dijkstra(t.neighbors, src), None)
+    return _detour_tree(t, src, excluded, want, primary)
+
+
+def _tree(
+    t: Topology,
+    src: int,
+    dist: dict[int, float],
+    paths: dict[int, tuple[int, ...]],
+    want: Optional[set[int]],
+) -> ShortestPathTree:
+    hop = {nb: link for nb, _w, link in t.neighbors(src)}
+    next_link = {dst: hop[path[1]] for dst, path in paths.items() if dst != src}
     unreachable = frozenset(want.difference(dist)) if want else frozenset()
     return ShortestPathTree(src, dist, paths, next_link, unreachable)
+
+
+def _detour_tree(
+    t: Topology,
+    src: int,
+    excluded: FailureScenario,
+    want: Optional[set[int]],
+    primary: ShortestPathTree,
+) -> ShortestPathTree:
+    """``shortest_tree`` with something excluded, seeded from ``primary``
+    (see the module docstring)."""
+    if want is not None and want <= {src}:
+        # An unseeded search settles the source and stops.
+        return _tree(t, src, {src: 0.0}, {src: (src,)}, want)
+    pdist, ppaths = primary.dist, primary.paths
+    adj = list(t.adjacency)
+    failed = None
+    if excluded.kind == "link":
+        a, b = excluded.u, excluded.v
+        for u, gone in ((a, b), (b, a)):
+            if 0 <= u < t.n:
+                adj[u] = tuple(arc for arc in adj[u] if arc[0] != gone)
+        # The subtree below the failed link, if the tree uses it.
+        pa, pb = ppaths.get(a, ()), ppaths.get(b, ())
+        top = b if pb[-2:] == (a, b) else a if pa[-2:] == (b, a) else None
+    elif excluded.v in ppaths:
+        top = failed = excluded.v
+        adj[failed] = ()
+    else:
+        top = None
+
+    def unseeded() -> ShortestPathTree:
+        if failed is not None:
+            for u, _w, _l in t.neighbors(failed):
+                adj[u] = tuple(arc for arc in adj[u] if arc[0] != failed)
+        return _tree(t, src, *lex_dijkstra(adj.__getitem__, src, want), want)
+
+    if top == src:
+        return unseeded()
+    dead: set[int] = set()
+    if top is not None:
+        depth = len(ppaths[top]) - 1
+        dead = {x for x, p in ppaths.items() if len(p) > depth and p[depth] == top}
+
+    # The targets the search must settle before it may stop; None when some
+    # target was unreachable even before the failure, so nothing stops early.
+    stop: Optional[set[int]] = None
+    deferred = None
+    if want is not None and want <= ppaths.keys():
+        stop = want & dead
+        inherited = want - dead
+        inherited.discard(src)
+        if inherited:
+            deferred = max(inherited, key=lambda x: (pdist[x], ppaths[x]))
+            stop.add(deferred)
+
+    dist, paths = dict(pdist), dict(ppaths)
+    for x in dead:
+        del dist[x], paths[x]
+    heap = []
+    risky = []
+    for y in dead:
+        for x, w, _l in adj[y]:
+            if x not in dead and x != deferred:
+                dx = pdist[x]
+                heap.append((dx + w, ppaths[x] + (y,)))
+                if pdist[y] + w == dx:
+                    risky.append((y, x, w))
+    if deferred is not None:
+        del dist[deferred], paths[deferred]
+        heap.append((pdist[deferred], ppaths[deferred]))
+    if heap:
+        if failed is not None:
+            # Listed as settled, the failed node is never pushed, so the arc
+            # lists that lead to it need no filtering.
+            dist[failed] = pdist[failed]
+        heapify(heap)
+        lex_dijkstra(adj.__getitem__, src, stop, (dist, paths, heap))
+        dist.pop(failed, None)
+    for y, x, w in risky:
+        if y in dist and dist[y] + w == pdist[x] and paths[y] + (x,) < ppaths[x]:
+            return unseeded()
+    if deferred is not None and paths[deferred] != ppaths[deferred]:
+        return unseeded()
+    if stop is not None and stop <= dist.keys():
+        # Drop the inherited nodes an unseeded search would not reach before
+        # its last target; the primary tree lists them in settle order.
+        last = max((dist[x], paths[x]) for x in stop)
+        for x in reversed(ppaths):
+            if x in dead:
+                continue
+            if (pdist[x], ppaths[x]) <= last:
+                break
+            del dist[x], paths[x]
+    return _tree(t, src, dist, paths, want)
 
 
 def all_shortest_trees(
@@ -137,6 +267,7 @@ def lex_dijkstra(
     arcs_of: Callable[[int], Iterable[tuple]],
     src: int,
     targets: Optional[Iterable[int]] = None,
+    seed: Optional[tuple[dict, dict, list]] = None,
 ) -> tuple[dict[int, float], dict[int, tuple[int, ...]]]:
     """Tie-broken Dijkstra over an arbitrary non-negative arc function.
 
@@ -144,11 +275,19 @@ def lex_dijkstra(
     weight are ignored.  If ``targets`` is given the search stops once every
     target is settled; the nodes it did settle carry the unrestricted run's
     results.
+
+    A ``seed`` ``(dist, paths, heap)`` starts the search part-way: nodes
+    already settled, and a heap of ``(distance, path)`` keys for the rest,
+    in place of ``src``.  The search fills ``dist`` and ``paths`` in place;
+    ``targets`` must not be settled already.
     """
-    dist: dict[int, float] = {}
-    paths: dict[int, tuple[int, ...]] = {}
     want = None if targets is None else set(targets)
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
+    if seed is None:
+        dist: dict[int, float] = {}
+        paths: dict[int, tuple[int, ...]] = {}
+        heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
+    else:
+        dist, paths, heap = seed
     while heap:
         d, path = heappop(heap)
         node = path[-1]

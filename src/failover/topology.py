@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "Link",
@@ -169,6 +169,11 @@ class Topology:
         """Sorted ``(neighbor, weight, link)`` triples incident to ``node``."""
         return self._adj[node]
 
+    @property
+    def adjacency(self) -> tuple[tuple[tuple[int, float, Link], ...], ...]:
+        """Every node's ``neighbors`` tuple, indexed by node."""
+        return self._adj
+
     def degree(self, node: int) -> int:
         return len(self._adj[node])
 
@@ -177,10 +182,6 @@ class Topology:
             if other == v:
                 return link
         return None
-
-    def view(self, excluded: FailureScenario) -> "AdjacencyView":
-        """Constant-time filter view hiding the excluded element; ``self`` is untouched."""
-        return AdjacencyView(self, excluded)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -194,32 +195,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return f"Topology(n={self.n}, links={len(self._links)})"
-
-
-class AdjacencyView:
-    """Read-only adjacency with one failed element filtered out.
-
-    Lookups check the exclusion first and otherwise defer to the base
-    topology, so creating a view costs O(1) and never copies.
-    """
-
-    __slots__ = ("base", "excluded")
-
-    def __init__(self, base: Topology, excluded: FailureScenario):
-        self.base = base
-        self.excluded = excluded
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def neighbors(self, node: int) -> Iterator[tuple[int, float, Link]]:
-        excluded = self.excluded
-        if not excluded.node_is_live(node):
-            return
-        for other, weight, link in self.base.neighbors(node):
-            if excluded.link_is_live(link):
-                yield (other, weight, link)
 
 
 def is_two_connected(t: Topology) -> bool:

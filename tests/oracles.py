@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: exhaustive enumeration, remove-and-
 retest connectivity, and path reconstruction from first principles.  The
-protection oracles are built on ``shortest_tree`` only (which is itself
-validated against enumeration) and never touch the rule machinery they
-verify.  Two second engines check the library's own: Floyd-Warshall for
-shortest distances, and Bhandari's arc reversal for min-sum disjoint pairs.
+protection oracles are built on ``unseeded_tree`` only (a plain Dijkstra over
+a filtered view, itself validated against enumeration) and never touch the
+rule machinery or the seeded detour search they verify.  Two second engines
+check the library's own: Floyd-Warshall for shortest distances, and
+Bhandari's arc reversal for min-sum disjoint pairs.
 """
 
 from __future__ import annotations
@@ -13,16 +14,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from failover.baseline import (
-    ArcMap,
-    DisjointPair,
-    _arc_map,
-    _make_pair,
-    _split_arc_map,
-    _untangle,
-)
+from failover.baseline import DisjointPair
 from failover.rules import ForwardingMatrix
 from failover.spf import (
     AffectedSets,
@@ -32,9 +26,51 @@ from failover.spf import (
     lex_dijkstra,
     primary_matrix_from_trees,
     queued_bellman_ford,
-    shortest_tree,
 )
 from failover.topology import FailureScenario, Link, NO_FAILURE, Topology
+
+
+class AdjacencyView:
+    """Read-only adjacency with one failed element filtered out.
+
+    Lookups check the exclusion first and otherwise defer to the base
+    topology, so creating a view costs O(1) and never copies.
+    """
+
+    __slots__ = ("base", "excluded")
+
+    def __init__(self, base: Topology, excluded: FailureScenario):
+        self.base = base
+        self.excluded = excluded
+
+    def neighbors(self, node: int) -> Iterator[tuple[int, float, Link]]:
+        excluded = self.excluded
+        if not excluded.node_is_live(node):
+            return
+        for other, weight, link in self.base.neighbors(node):
+            if excluded.link_is_live(link):
+                yield (other, weight, link)
+
+
+def unseeded_tree(
+    t: Topology,
+    src: int,
+    excluded: FailureScenario = NO_FAILURE,
+    targets: Optional[Iterable[int]] = None,
+) -> ShortestPathTree:
+    """The reference for ``shortest_tree``: one plain Dijkstra from ``src``
+    over the view of ``t`` minus ``excluded``, stopping once every target is
+    settled, with nothing taken from another tree."""
+    want = None if targets is None else set(targets)
+    dist, paths = lex_dijkstra(AdjacencyView(t, excluded).neighbors, src, want)
+    next_link: dict[int, Link] = {}
+    for dst, path in paths.items():
+        if dst != src:
+            link = t.link_between(src, path[1])
+            assert link is not None
+            next_link[dst] = link
+    unreachable = frozenset(want.difference(dist)) if want else frozenset()
+    return ShortestPathTree(src, dist, paths, next_link, unreachable)
 
 
 def all_to_all(t: Topology) -> tuple[ForwardingMatrix, AffectedSets]:
@@ -67,11 +103,58 @@ def floyd_warshall(t: Topology) -> list[list[float]]:
     return dist
 
 
+ArcMap = dict[int, list[tuple[int, float]]]
+
+
+def _arcs(t: Topology, node_disjoint: bool) -> ArcMap:
+    """Both directions of every link; with ``node_disjoint``, node ``x`` is
+    split into ``2x`` (in) and ``2x+1`` (out), joined by a free arc."""
+    if not node_disjoint:
+        return {u: [(v, w) for v, w, _l in t.neighbors(u)] for u in t.nodes}
+    arcs: ArcMap = {}
+    for x in t.nodes:
+        arcs[2 * x] = [(2 * x + 1, 0.0)]
+        arcs[2 * x + 1] = [(2 * v, w) for v, w, _l in t.neighbors(x)]
+    return arcs
+
+
 def _arc_weight(arcs: ArcMap, a: int, b: int) -> float:
     for v, w in arcs[a]:
         if v == b:
             return w
     raise KeyError((a, b))
+
+
+def _loop_erased(walk: list[int]) -> tuple[int, ...]:
+    """Chronological loop erasure, by its last-visit form: after each kept
+    node the walk goes on from that node's last visit."""
+    last = {node: i for i, node in enumerate(walk)}
+    kept = [walk[0]]
+    i = last[walk[0]]
+    while i < len(walk) - 1:
+        kept.append(walk[i + 1])
+        i = last[walk[i + 1]]
+    return tuple(kept)
+
+
+def _cancel_and_decompose(
+    s: int, d: int, p1: tuple[int, ...], p2: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Drop each arc of ``p1`` that ``p2`` runs back over, together with that
+    reverse arc; then split what is left into two s-d paths.  Each walk
+    leaves every node by the unused arc to the smallest node."""
+    arcs1, arcs2 = list(zip(p1, p1[1:])), list(zip(p2, p2[1:]))
+    unused = [arc for arc in arcs1 if arc[::-1] not in arcs2]
+    unused += [arc for arc in arcs2 if arc[::-1] not in arcs1]
+    paths = []
+    for _ in range(2):
+        walk = [s]
+        while walk[-1] != d:
+            arc = min(arc for arc in unused if arc[0] == walk[-1])
+            unused.remove(arc)
+            walk.append(arc[1])
+        paths.append(_loop_erased(walk))
+    return paths
 
 
 def _arc_reversal_pair(
@@ -82,7 +165,7 @@ def _arc_reversal_pair(
     if s == d:
         raise ValueError("source and destination must differ")
     src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
-    arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
+    arcs = _arcs(t, node_disjoint)
     _, paths1 = lex_dijkstra(lambda u: arcs.get(u, ()), src)
     if dst not in paths1:
         return None
@@ -108,7 +191,12 @@ def _arc_reversal_pair(
             )
     if dst not in paths2:
         return None
-    return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
+    pair = _cancel_and_decompose(src, dst, p1, paths2[dst])
+    if node_disjoint:
+        # A split path runs out(s), in(a), out(a), ..., in(d).
+        pair = [(p[0] // 2,) + tuple(x // 2 for x in p[1:] if x % 2 == 0) for p in pair]
+    primary, backup = sorted(pair, key=lambda p: (path_weight(t, p), p))
+    return DisjointPair(primary, path_weight(t, primary), backup, path_weight(t, backup))
 
 
 def bhandari_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
@@ -148,7 +236,7 @@ def enumerate_simple_paths(
     t: Topology, s: int, d: int, excluded: FailureScenario = NO_FAILURE
 ):
     """All simple s-d paths with left-associated weight sums."""
-    view = t.view(excluded)
+    view = AdjacencyView(t, excluded)
     results: list[tuple[float, tuple[int, ...]]] = []
     stack: list[tuple[int, tuple[int, ...], float]] = [(s, (s,), 0.0)]
     while stack:
@@ -213,14 +301,14 @@ class DetourOracle:
 
     def __init__(self, t: Topology):
         self.t = t
-        self.trees = [shortest_tree(t, s) for s in t.nodes]
+        self.trees = [unseeded_tree(t, s) for s in t.nodes]
         self._detours: dict[tuple[int, FailureScenario], ShortestPathTree] = {}
 
     def _detour_tree(self, src: int, excluded: FailureScenario) -> ShortestPathTree:
         key = (src, excluded)
         tree = self._detours.get(key)
         if tree is None:
-            tree = shortest_tree(self.t, src, excluded=excluded)
+            tree = unseeded_tree(self.t, src, excluded)
             self._detours[key] = tree
         return tree
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from failover.cli import main
-from failover.metrics import CSV_HEADER
+from failover.metrics import CSV_HEADER, build_variant
 from failover.topology import load_topology
 
 
@@ -157,6 +157,46 @@ def test_evaluate_rejects_fewer_than_one_run(runs, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--runs" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_compute_writes_compact_sorted_json(tmp_path):
+    topo, matrix = tmp_path / "topo.txt", tmp_path / "matrix.json"
+    main(["generate", "--kind", "er", "-n", "10", "--seed", "3", "--out", str(topo)])
+    main(["compute", "--topology", str(topo), "--variant", "hybrid", "--out", str(matrix)])
+    fw = build_variant(load_topology(topo), "hybrid")
+    assert matrix.read_text() == json.dumps(fw.to_json(), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("line,key", [("size=9", "'size'"), ("jobs=2", "'jobs'"),
+                                      ("sizes 9", "'sizes 9'")])
+def test_evaluate_rejects_unknown_config_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"generator=er\n{line}\nruns=1\n")
+    csv_path = tmp_path / "out.csv"
+    assert main(["evaluate", "--config", str(cfg), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failover evaluate: ") and f"unknown key {key}" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("value", ["True", "yes", "1", ""])
+def test_evaluate_rejects_unweighted_other_than_true_or_false(tmp_path, capsys, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"generator=er\nsizes=9\nruns=1\nunweighted={value}\n")
+    csv_path = tmp_path / "out.csv"
+    assert main(["evaluate", "--config", str(cfg), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"failover evaluate: unweighted: expected true or false, got {value!r}\n")
+    assert not csv_path.exists()
+
+
+def test_evaluate_accepts_unweighted_false(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("generator=er\nsizes=9\nruns=1\nvariants=per-link\nunweighted=false\n")
+    json_path = tmp_path / "out.json"
+    assert main(["evaluate", "--config", str(cfg), "--json", str(json_path)]) == 0
+    capsys.readouterr()
+    assert json.loads(json_path.read_text())["config"]["unweighted"] is False
 
 
 def test_evaluate_rejects_zero_runs_from_config_file(tmp_path, capsys):

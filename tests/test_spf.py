@@ -5,8 +5,12 @@ from __future__ import annotations
 import math
 import random
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import failover
 from failover.rules import Output, PRIMARY
 from failover.spf import (
     DisconnectedTopologyError,
@@ -16,10 +20,17 @@ from failover.spf import (
     queued_bellman_ford,
     shortest_tree,
 )
-from failover.topology import FailureScenario, Link, Topology, generate_erdos_renyi
+from failover.topology import (
+    FailureScenario,
+    Link,
+    Topology,
+    generate_erdos_renyi,
+    generate_lattice,
+    unit_weights,
+)
 
-from conftest import path3, square, triangle, weighted_square
-from oracles import all_to_all, brute_shortest, floyd_warshall
+from conftest import oracle_corpus, path3, square, triangle, weighted_square
+from oracles import AdjacencyView, all_to_all, brute_shortest, floyd_warshall, unseeded_tree
 
 
 class TestShortestTree:
@@ -236,3 +247,137 @@ def test_weighted_square_tree(unit_square):
     assert tree.paths[2] == (0, 1, 2)
     assert tree.dist[2] == 0.4 + 0.9
     assert tree.paths[3] == (0, 3)
+
+
+def tree_fields(tree):
+    return tree.dist, tree.paths, tree.next_link, tree.unreachable
+
+
+def assert_seeded_equals_unseeded(t: Topology, rng: random.Random) -> None:
+    """Every arc's link and node failure, with no targets, the protection
+    builders' targets and a random subset: the seeded tree equals the
+    reference search field by field."""
+    trees = all_shortest_trees(t)
+    for n in t.nodes:
+        tree = trees[n]
+        for m, _w, link in t.neighbors(n):
+            departing = {d for d, first in tree.next_link.items() if first == link}
+            for scenario, builders in ((FailureScenario.link_down(n, m), departing),
+                                       (FailureScenario.node_down(m), departing - {m})):
+                subset = set(rng.sample(range(t.n), rng.randint(0, t.n)))
+                for targets in (None, builders, subset):
+                    seeded = shortest_tree(t, n, scenario, targets, primary=tree)
+                    expected = unseeded_tree(t, n, scenario, targets)
+                    assert tree_fields(seeded) == tree_fields(expected), (n, str(scenario), targets)
+
+
+SEEDED_CORPUS = {
+    "tier1-corpus": lambda: [t for _name, t in oracle_corpus()],
+    "unit-er16": lambda: [unit_weights(generate_erdos_renyi(16, 3))],
+    "unit-er49": lambda: [unit_weights(generate_erdos_renyi(49, 4))],
+    "unit-lattice5x5": lambda: [unit_weights(generate_lattice(25, 1))],
+    "unit-lattice8x8": lambda: [unit_weights(generate_lattice(64, 2))],
+}
+
+
+class TestSeededDetour:
+    @pytest.mark.parametrize("name", sorted(SEEDED_CORPUS))
+    def test_equals_unseeded_search_for_every_arc(self, name):
+        rng = random.Random(name)
+        for t in SEEDED_CORPUS[name]():
+            assert_seeded_equals_unseeded(t, rng)
+
+    def test_primary_is_computed_when_not_given(self):
+        t = generate_erdos_renyi(16, 5)
+        primary = shortest_tree(t, 3)
+        for scenario in (FailureScenario.link_down(3, primary.paths[9][1]),
+                         FailureScenario.node_down(primary.paths[9][1])):
+            given_tree = shortest_tree(t, 3, scenario, {9, 12}, primary=primary)
+            assert tree_fields(shortest_tree(t, 3, scenario, {9, 12})) == tree_fields(given_tree)
+
+    def test_search_runs_on_to_the_last_inherited_target(self):
+        # Link 0-1 fails: node 1 is dead and comes back through 2 at 1.7,
+        # below the inherited target 3 at 3.0, so the tree must hold it.
+        t = Topology(4, [Link(0, 1, 1.0), Link(0, 2, 1.5), Link(1, 2, 0.2), Link(0, 3, 3.0)])
+        cut = FailureScenario.link_down(0, 1)
+        primary = shortest_tree(t, 0)
+        tree = shortest_tree(t, 0, cut, {3}, primary=primary)
+        assert tree.paths == {0: (0,), 2: (0, 2), 1: (0, 2, 1), 3: (0, 3)}
+        # Stopping at the inherited target 2 leaves both 1 and 3 out.
+        tree = shortest_tree(t, 0, cut, {2}, primary=primary)
+        assert tree.paths == {0: (0,), 2: (0, 2)}
+        for targets in ({3}, {2}, {1, 2}, {0}, set()):
+            assert tree_fields(shortest_tree(t, 0, cut, targets, primary=primary)) == \
+                tree_fields(unseeded_tree(t, 0, cut, targets))
+
+    def test_live_node_whose_key_rounds_lower_after_the_failure(self):
+        # 0.5 + 0.1 and 0.2 + 0.2 + 0.2 differ by one ulp, and adding 0.4
+        # absorbs it.  Before the failure, 4's path (0, 4) ties at 1.0 with
+        # (0, 5, 3, 4) and wins; after link 0-5 (or node 5) fails, the
+        # detour to 3 ties at 1.0 too and (0, 1, 2, 3, 4) wins, although
+        # 4's own path survives.  The seeded search must see this.
+        t = Topology(6, [Link(0, 5, 0.5), Link(3, 5, 0.1), Link(3, 4, 0.4), Link(0, 4, 1.0),
+                         Link(0, 1, 0.2), Link(1, 2, 0.2), Link(2, 3, 0.2)])
+        primary = shortest_tree(t, 0)
+        assert primary.paths[4] == (0, 4)
+        for scenario in (FailureScenario.link_down(0, 5), FailureScenario.node_down(5)):
+            for targets in (None, {3}, {3, 4}, {4}):
+                tree = shortest_tree(t, 0, scenario, targets, primary=primary)
+                assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, scenario, targets))
+            assert shortest_tree(t, 0, scenario, primary=primary).paths[4] == (0, 1, 2, 3, 4)
+
+    def test_failures_the_tree_does_not_use(self):
+        t = square()
+        primary = shortest_tree(t, 0)
+        cases = [
+            (FailureScenario.link_down(2, 3), None),  # not a tree link of 0
+            (FailureScenario.link_down(0, 2), {2}),  # no such link
+            (FailureScenario.link_down(1, 9), None),  # no such node
+            (FailureScenario.node_down(9), {1, 3}),
+            (FailureScenario.node_down(0), {1, 2}),  # the source itself
+            (FailureScenario.node_down(0), None),
+        ]
+        for scenario, targets in cases:
+            tree = shortest_tree(t, 0, scenario, targets, primary=primary)
+            assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, scenario, targets))
+
+    def test_library_keeps_one_heap_loop_and_no_view(self):
+        source = "".join(path.read_text(encoding="utf-8")
+                         for path in sorted(Path(failover.__file__).parent.glob("*.py")))
+        assert source.count("heappop(") == 1
+        assert "AdjacencyView" not in source and ".view(" not in source
+
+
+@st.composite
+def two_connected_graphs(draw):
+    """A ring with random chords; weights zero, tied, unit, or decimals whose
+    sums round."""
+    n = draw(st.integers(4, 8))
+    chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    pairs = {(i, (i + 1) % n) for i in range(n)} | {(u, v) for u, v in chords if u != v}
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    palette = draw(st.sampled_from([(0.0, 1.0, 1.0, 2.0), (1.0,), (0.1, 0.2, 0.3, 0.4, 1.0)]))
+    weights = draw(st.lists(st.sampled_from(palette), min_size=len(edges), max_size=len(edges)))
+    return Topology(n, [Link(u, v, w) for (u, v), w in zip(edges, weights)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=two_connected_graphs(), seed=st.integers(0, 2**16))
+def test_seeded_equals_unseeded_on_random_graphs(t, seed):
+    assert_seeded_equals_unseeded(t, random.Random(seed))
+
+
+class TestOracleView:
+    def test_view_hides_failed_link_both_directions(self):
+        t = square()
+        view = AdjacencyView(t, FailureScenario.link_down(0, 1))
+        assert [v for v, _w, _l in view.neighbors(0)] == [3]
+        assert [v for v, _w, _l in view.neighbors(1)] == [2]
+
+    def test_view_hides_failed_node_and_its_links(self):
+        t = square()
+        view = AdjacencyView(t, FailureScenario.node_down(1))
+        assert list(view.neighbors(1)) == []
+        assert [v for v, _w, _l in view.neighbors(0)] == [3]
+        assert [v for v, _w, _l in view.neighbors(2)] == [3]

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from failover.topology import (
-    FailureScenario,
     GenerationError,
     Link,
     Topology,
@@ -64,6 +63,7 @@ class TestTopology:
     def test_adjacency_matches_links(self):
         t = square()
         assert [v for v, _w, _l in t.neighbors(0)] == [1, 3]
+        assert t.adjacency == tuple(t.neighbors(x) for x in t.nodes)
         assert t.degree(2) == 2
         assert t.link_between(0, 1) == Link(0, 1, 1.0)
         assert t.link_between(0, 2) is None
@@ -72,19 +72,6 @@ class TestTopology:
         a = Topology(3, [Link(0, 1, 1.0), Link(1, 2, 2.0)])
         b = Topology(3, [Link(2, 1, 2.0), Link(0, 1, 1.0)])
         assert a == b
-
-    def test_view_hides_failed_link_both_directions(self):
-        t = square()
-        view = t.view(FailureScenario.link_down(0, 1))
-        assert [v for v, _w, _l in view.neighbors(0)] == [3]
-        assert [v for v, _w, _l in view.neighbors(1)] == [2]
-
-    def test_view_hides_failed_node_and_its_links(self):
-        t = square()
-        view = t.view(FailureScenario.node_down(1))
-        assert list(view.neighbors(1)) == []
-        assert [v for v, _w, _l in view.neighbors(0)] == [3]
-        assert [v for v, _w, _l in view.neighbors(2)] == [3]
 
 
 class TestTwoConnected:

@@ -13,6 +13,14 @@ Per workload it also keeps, over the untraced runs, each end-to-end
 metric's median and quartiles ``[q1, median, q3]`` per side, and the number
 of seeds at which the change beats the parent on that metric (ties count for
 neither side).
+
+Last, each tree runs the two end-to-end numbers, each in a fresh process:
+the preset ``failover evaluate --generator er --sizes 9,16,25,36,49 --runs 5
+--seed 7 --jobs 1``, whose CSV must hash to ``PRESET_CSV_SHA256``, and the
+desk run (``run_experiment`` on ER n=25, 100 runs, seed 7).  Each is timed
+in wall seconds and in reference seconds, with ``perfbench/reference.py``
+kernels run just before and just after it.  The desk run's JSON report,
+without ``compute_seconds``, must hash the same on both sides.
 """
 
 from __future__ import annotations
@@ -22,9 +30,46 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = [1, 2, 3, 4, 5]
+PRESET_CSV_SHA256 = "617bce60fca6069882723ba815e60cbb9577b4d2799b21148d00bd11dfccec51"
+
+# Runs in a fresh process in the root of a source tree; argv[1] is "preset"
+# or "desk", argv[2] a scratch file.  Prints one JSON line last.
+END_TO_END = r"""
+import hashlib, json, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import reference
+from failover.cli import main
+from failover.metrics import ExperimentConfig, run_experiment
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+which, scratch = sys.argv[1], sys.argv[2]
+before = reference.sample_ns()
+start = time.perf_counter_ns()
+if which == "preset":
+    code = main(["evaluate", "--generator", "er", "--sizes", "9,16,25,36,49", "--runs", "5",
+                 "--seed", "7", "--jobs", "1", "--csv", scratch])
+    elapsed = time.perf_counter_ns() - start
+    with open(scratch, encoding="utf-8") as fh:
+        digest = sha256(fh.read())
+else:
+    report = run_experiment(ExperimentConfig(generator="er", sizes=(25,), runs=100, seed=7))
+    elapsed = time.perf_counter_ns() - start
+    code = 0
+    data = report.to_json()
+    for row in data["aggregates"] + data["runs"]:
+        del row["compute_seconds"]
+    digest = sha256(json.dumps(data, sort_keys=True))
+around = before + reference.sample_ns()
+print(json.dumps({"exit_code": code, "wall_s": elapsed / 1e9,
+                  "reference_s": reference.to_reference_s(elapsed, around),
+                  "sha256": digest}))
+"""
 
 
 def _strict(token: str):
@@ -46,6 +91,18 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
         "digest_status": status,
         "result": json.loads(lines[-1], parse_constant=_strict) if lines else None,
     }
+
+
+def run_end_to_end(root: Path, which: str) -> dict:
+    """One end-to-end run (``preset`` or ``desk``) in a fresh process in
+    ``root``: exit code, wall and reference seconds, and its result hash."""
+    with tempfile.TemporaryDirectory() as scratch:
+        done = subprocess.run([sys.executable, "-c", END_TO_END, which,
+                               str(Path(scratch) / "out.csv")],
+                              cwd=root, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1]) if done.returncode == 0 and lines else {}
+    return {"exit_code": done.returncode, **result}
 
 
 def _values(runs: list[dict]) -> dict[str, list[float]]:
@@ -113,6 +170,21 @@ def main(argv=None) -> int:
             runs[side].append(run)
             print(f"{side} {workload} traced exit={run['exit_code']}", file=sys.stderr, flush=True)
 
+    end_to_end: dict[str, dict[str, dict]] = {"parent": {}, "change": {}}
+    for index, which in enumerate(("preset", "desk")):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_end_to_end(roots[side], which)
+            end_to_end[side][which] = run
+            print(f"{side} {which} exit={run['exit_code']} wall_s={run.get('wall_s')}",
+                  file=sys.stderr, flush=True)
+    end_to_end_ok = (
+        all(run["exit_code"] == 0 for side in end_to_end.values() for run in side.values())
+        and all(end_to_end[side]["preset"].get("sha256") == PRESET_CSV_SHA256
+                for side in end_to_end)
+        and end_to_end["parent"]["desk"].get("sha256") == end_to_end["change"]["desk"].get("sha256")
+    )
+
     def of(side: str, workload: str) -> list[dict]:
         return [r for r in runs[side] if r["workload"] == workload]
 
@@ -128,9 +200,12 @@ def main(argv=None) -> int:
                                        lower_is_better)
                         for workload in workloads},
         "runs": runs,
+        "end_to_end": end_to_end,
+        "end_to_end_ok": end_to_end_ok,
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return 0 if all(r["exit_code"] == 0 for side in runs.values() for r in side) else 1
+    ok = end_to_end_ok and all(r["exit_code"] == 0 for side in runs.values() for r in side)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
