@@ -77,11 +77,30 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _load_topology_arg(args, command: str) -> Optional[Topology]:
+    """``args.topology`` (unit weights with ``--unweighted``), or None after
+    printing why the file could not be read."""
+    try:
+        t = load_topology(args.topology)
+    except OSError as exc:
+        error = exc.strerror or str(exc)
+    except ValueError as exc:
+        error = str(exc)
+    else:
+        return unit_weights(t) if args.unweighted else t
+    print(f"failover {command}: {args.topology}: {error}", file=sys.stderr)
+    return None
+
+
 def _cmd_compute(args) -> int:
-    t = load_topology(args.topology)
-    if args.unweighted:
-        t = unit_weights(t)
-    fw = build_variant(t, args.variant, optimized=not args.no_optimize)
+    t = _load_topology_arg(args, "compute")
+    if t is None:
+        return 2
+    try:
+        fw = build_variant(t, args.variant, optimized=not args.no_optimize)
+    except ValueError as exc:
+        print(f"failover compute: {args.topology}: {exc}", file=sys.stderr)
+        return 2
     # json.dumps without indent uses the C encoder; json.dump never does.
     text = json.dumps(fw.to_json(), sort_keys=True)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -94,9 +113,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    t = load_topology(args.topology)
-    if args.unweighted:
-        t = unit_weights(t)
+    t = _load_topology_arg(args, "simulate")
+    if t is None:
+        return 2
     error = _simulate_input_error(t, args)
     if error is not None:
         print(f"failover simulate: {error}", file=sys.stderr)

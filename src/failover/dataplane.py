@@ -25,10 +25,11 @@ fault.
 
 ``simulate`` walks either matrix form.  On a :class:`ForwardingMatrix` it is
 the reference walk over ``Match`` keys, used for single packets.  On a
-:class:`CompiledMatrix` (see :func:`compile_matrix`) it runs an int-keyed
+:class:`CompiledMatrix` (see :func:`compile_matrix`) it runs one int-keyed
 walk that probes the same tiers in the same order and returns the same
 trace; ``metrics.measure`` compiles each matrix once per call and walks
-every trace of that call through it.
+every trace of that call through it.  Only nodes with rules keyed on source
+or incoming link (the disjoint baselines) get the first-tier probes.
 
 When no rule of a compiled matrix keys on source or incoming link (every
 protection matrix), the next hop under one scenario toward one destination
@@ -36,11 +37,14 @@ depends only on ``(node, label)``.  The compiled walk then remembers, per
 scenario, the rest of every delivered or dropped walk from each state it
 passed, and a later walk that reaches such a state splices that suffix in
 instead of walking it.  A terminating suffix never revisits a state, so the
-spliced trace is the one the reference walk takes; totals are summed left
-to right as in the walk, and crankback is recounted only when a link repeats.
-The memo covers one destination at a time (it is dropped when a call names
-another), so callers that walk destination by destination, as
-``metrics.measure`` does, reuse it most.
+spliced trace is the one the reference walk takes.  The memo covers one
+destination at a time (it is dropped when a call names another), so callers
+that walk destination by destination, as ``metrics.measure`` does, reuse it
+most.  A matrix with keyed rules is walked in full and keeps no memo.
+
+Totals are summed left to right as the reference walk sums them.  Crankback
+is counted after the walk, over the hops' int arc ids and weights, and only
+when a link is traversed twice; otherwise it is 0.0.
 """
 
 from __future__ import annotations
@@ -157,9 +161,7 @@ def simulate(
         kind = scenario.kind
         dead_pair = fw.pair_ids.get((scenario.u, scenario.v), -1) if kind == "link" else -1
         dead_node = scenario.v if kind == "node" else None
-        if fw.memoizable:
-            return _walk_shared(fw, trace, dead_pair, dead_node)
-        return _walk_compiled(fw, trace, dead_pair, dead_node)
+        return _walk(fw, trace, dead_pair, dead_node)
     node = src
     label = PRIMARY
     in_link: Optional[Link] = None
@@ -240,10 +242,12 @@ class CompiledMatrix:
     Built by :func:`compile_matrix` as a snapshot: it holds no reference to
     the matrix, and a matrix changed later has to be compiled again.
 
-    ``memo`` holds the walks toward one destination (see the module
-    docstring); it is used only when ``memoizable``, that is when no node is
-    keyed.  It is replaced as a whole, so a walk that started with it keeps
-    a memo of its own destination even if another thread replaces it.
+    Every compiled matrix is walked by the same function.  ``memo`` holds
+    the walks toward one destination (see the module docstring); that walk
+    reads and fills it only when ``memoizable``, that is when no node is
+    keyed, and otherwise leaves it empty.  It is replaced as a whole, so a
+    walk that started with it keeps a memo of its own destination even if
+    another thread replaces it.
     """
 
     __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n_nodes", "n_in",
@@ -400,13 +404,23 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in)
 
 
-def _walk_compiled(cm: CompiledMatrix, trace: Trace, dead_pair: int,
-                   dead_node: Optional[int]) -> Trace:
+def _walk(cm: CompiledMatrix, trace: Trace, dead_pair: int,
+          dead_node: Optional[int]) -> Trace:
     """The reference walk of :func:`simulate` over a compiled matrix, with
-    liveness tested on ints and crankback summed along the way.  The
-    scenario kills the links of pair id ``dead_pair`` (-1 for none) and
-    every link at ``dead_node``."""
+    liveness tested on ints.  The scenario kills the links of pair id
+    ``dead_pair`` (-1 for none) and every link at ``dead_node``.  On a
+    memoizable matrix the walk stops at the first state with a remembered
+    suffix and splices it in."""
     src, dst = trace.src, trace.dst
+    memo = None
+    if cm.memoizable:
+        memo_dst, by_scenario = cm.memo
+        if memo_dst != dst:
+            by_scenario = {}
+            cm.memo = (dst, by_scenario)
+        memo = by_scenario.get((dead_pair, dead_node))
+        if memo is None:
+            memo = by_scenario[dead_pair, dead_node] = {}
     tables, keyed, labels, fallbacks = cm.tables, cm.keyed, cm.labels, cm.fallbacks
     n_nodes, n_in = cm.n_nodes, cm.n_in
     n_labels = len(labels)
@@ -414,20 +428,26 @@ def _walk_compiled(cm: CompiledMatrix, trace: Trace, dead_pair: int,
     # gets a stand-in that puts every probe past all rule keys, and such a
     # source skips the keyed probes, so that no probe aliases another key.
     dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
-    src_keyed = 0 <= src < n_nodes
+    src_keyed = memo is None and 0 <= src < n_nodes
     steps = trace.steps
-    total = 0.0
-    crankback = 0.0
-    # Forward traversals not yet retraced, per directed arc 2*pair_id (from
-    # the lower endpoint) or 2*pair_id+1 (from the higher one).
-    unmatched: dict[int, int] = {}
+    weights: list[float] = []
+    pairs: list[int] = []  # pair id of each hop's link
+    keys: list[int] = []  # node * n_labels + label of each state walked, with a memo
     seen: set[int] = set()
+    total = 0.0
+    hit = None
     node = src
     label = 0
     in_link = -1
     while node != dst:
+        key = node * n_labels + label
+        if memo is not None:
+            hit = memo.get(key)
+            if hit is not None:
+                break
+            keys.append(key)
         # (node, label, in_link) as one int; in_link runs over -1..n_in-2.
-        state = (node * n_labels + label) * n_in + in_link
+        state = key * n_in + in_link
         if state in seen:
             trace.outcome = LOOP
             trace.reason = "forwarding state repeated"
@@ -436,11 +456,11 @@ def _walk_compiled(cm: CompiledMatrix, trace: Trace, dead_pair: int,
         table = tables[node]
         base = label * n_nodes + dst_key
         action = None
-        if keyed[node] and src_keyed:
-            key = -1 - (base * n_nodes + src) * n_in
-            action = table.get(key - in_link - 1)
+        if src_keyed and keyed[node]:
+            probe = -1 - (base * n_nodes + src) * n_in
+            action = table.get(probe - in_link - 1)
             if action is None and in_link >= 0:
-                action = table.get(key)
+                action = table.get(probe)
         if action is None:
             action = table.get(base)
             if action is None:
@@ -451,102 +471,6 @@ def _walk_compiled(cm: CompiledMatrix, trace: Trace, dead_pair: int,
                 else:
                     trace.reason = "no matching rule"
                     break
-        kind = action[0]
-        if kind == _GROUP:
-            for watch, watch_u, watch_v, bucket_action in action[1]:
-                if watch is None or (
-                    watch != dead_pair and watch_u != dead_node and watch_v != dead_node
-                ):
-                    action = bucket_action
-                    break
-            else:
-                trace.reason = "no live group bucket"
-                break
-            kind = action[0]
-        if kind != _FORWARD:
-            trace.reason = action[1]
-            break
-        _, new_label, link, weight, link_id, pair, u, v = action
-        if new_label >= 0:
-            label = new_label
-        if pair == dead_pair or u == dead_node or v == dead_node:
-            trace.reason = f"output link {link} is dead"
-            break
-        if node == u:
-            arc = 2 * pair
-            nxt = v
-        elif node == v:
-            arc = 2 * pair + 1
-            nxt = u
-        else:
-            trace.reason = f"output link {link} does not touch node {node}"
-            break
-        steps.append(TraceStep(node, labels[label], link, weight))
-        total += weight
-        node = nxt
-        back = unmatched.get(arc ^ 1)
-        if back:
-            unmatched[arc ^ 1] = back - 1
-            crankback += weight
-        else:
-            unmatched[arc] = unmatched.get(arc, 0) + 1
-        in_link = link_id
-    else:
-        steps.append(TraceStep(node, labels[label], None, 0.0))
-        trace.outcome = DELIVERED
-        trace.crankback_weight = crankback
-    trace.total_weight = total
-    return trace
-
-
-def _walk_shared(cm: CompiledMatrix, trace: Trace, dead_pair: int,
-                 dead_node: Optional[int]) -> Trace:
-    """:func:`_walk_compiled` for a matrix without keyed rules: the walk
-    stops at the first state with a remembered suffix and splices it in."""
-    src, dst = trace.src, trace.dst
-    memo_dst, by_scenario = cm.memo
-    if memo_dst != dst:
-        by_scenario = {}
-        cm.memo = (dst, by_scenario)
-    memo = by_scenario.get((dead_pair, dead_node))
-    if memo is None:
-        memo = by_scenario[dead_pair, dead_node] = {}
-    tables, labels, fallbacks = cm.tables, cm.labels, cm.fallbacks
-    n_nodes, n_in = cm.n_nodes, cm.n_in
-    n_labels = len(labels)
-    dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
-    steps: list[TraceStep] = []
-    weights: list[float] = []
-    pairs: list[int] = []
-    keys: list[int] = []  # node * n_labels + label of each state walked here
-    seen: set[int] = set()
-    total = 0.0
-    hit = None
-    node = src
-    label = 0
-    in_link = -1
-    while node != dst:
-        key = node * n_labels + label
-        hit = memo.get(key)
-        if hit is not None:
-            break
-        state = key * n_in + in_link
-        if state in seen:
-            trace.outcome = LOOP
-            trace.reason = "forwarding state repeated"
-            break
-        seen.add(state)
-        keys.append(key)
-        table = tables[node]
-        action = table.get(label * n_nodes + dst_key)
-        if action is None:
-            for tier in fallbacks[label]:
-                action = table.get(tier * n_nodes + dst_key)
-                if action is not None:
-                    break
-            else:
-                trace.reason = "no matching rule"
-                break
         kind = action[0]
         if kind == _GROUP:
             for watch, watch_u, watch_v, bucket_action in action[1]:
@@ -589,18 +513,30 @@ def _walk_shared(cm: CompiledMatrix, trace: Trace, dead_pair: int,
         steps += walk_steps[index:]
         # The same left-to-right sum as adding each weight in the walk.
         total = reduce(add, islice(walk_weights, index, None), total)
+        weights += walk_weights[index:]
         pairs += walk_pairs[index:]
-        if keys:
-            weights += walk_weights[index:]
-    trace.total_weight = total
     if keys and trace.outcome != LOOP:
         walk = (steps.copy(), weights, pairs, trace.outcome, trace.reason)
         for index, key in enumerate(keys):
             memo[key] = (walk, index)
-    trace.steps = steps
+    trace.total_weight = total
     if trace.outcome == DELIVERED and len(set(pairs)) < len(pairs):
-        # Crankback needs a link traversed twice; recount it hop by hop.
-        trace.crankback_weight = crankback_of(trace)
+        # Crankback needs a link traversed twice.  Each hop that retraces an
+        # earlier hop not yet retraced counts, summed left to right.  Arc ids
+        # are 2*pair_id leaving the lower endpoint, +1 leaving the higher.
+        unmatched: list[int] = []
+        crankback = 0.0
+        node = src
+        for index, pair in enumerate(pairs):
+            nxt = steps[index + 1].node
+            arc = 2 * pair + (node > nxt)
+            if arc ^ 1 in unmatched:
+                unmatched.remove(arc ^ 1)
+                crankback += weights[index]
+            else:
+                unmatched.append(arc)
+            node = nxt
+        trace.crankback_weight = crankback
     return trace
 
 

@@ -31,6 +31,7 @@ from .topology import (
     Topology,
     check_lattice_size,
     check_node_count,
+    check_positive_weights,
     generate_erdos_renyi,
     generate_lattice,
     generate_waxman,
@@ -127,7 +128,9 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
     compiled walk reuses the suffixes it remembers per destination.  The
     row does not depend on that order: means are ``fmean`` (an exactly
     rounded sum over the count) and the rest are minima, maxima and counts.
+    A link of weight zero raises ``ValueError`` before any work is done.
     """
+    check_positive_weights(t)
     trees = all_shortest_trees(t)
     compiled = compile_matrix(fw, t)
     scenarios: dict = {v: FailureScenario.node_down(v) for v in t.nodes}

@@ -37,6 +37,10 @@ at the pop point, and elsewhere it walks on, installing the other rules.  It
 counts the distinct pop rules it left out in ``skipped_pops``, and
 ``optimize`` adds them to ``rules_before_optimize``, so the optimized matrix
 and its stats are those of the full build.
+
+Every build rejects a topology with a zero-weight link (``ValueError``, see
+``topology.check_positive_weights``): the pop point relies on a primary
+path's suffix being the preferred path from its node.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .spf import (
     primary_matrix_from_trees,
     shortest_tree,
 )
-from .topology import FailureScenario, Link, Topology
+from .topology import FailureScenario, Link, Topology, check_positive_weights
 
 __all__ = ["per_link_rules", "per_node_rules", "hybrid_rules", "optimize"]
 
@@ -122,6 +126,7 @@ def hybrid_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
 
 
 def _build(t: Topology, mode: str, install_pops: bool) -> ForwardingMatrix:
+    check_positive_weights(t)
     counter = SpCounter()
     trees = all_shortest_trees(t, counter)
     fw, affected = primary_matrix_from_trees(t, trees)
@@ -195,9 +200,7 @@ def _install_family(ctx: _Build, family: str, counter: SpCounter, hybrid: bool) 
                 else:
                     detour = None
                     reason = "no_detour"
-                first_hops[d] = (
-                    None if detour is None else t.link_between(n, detour[1])
-                )
+                first_hops[d] = None if detour is None else tree.next_link[d]
                 owns_group = d in base_targets and not (hybrid and family == _NODE)
                 if owns_group:
                     bucket1 = Bucket(link, Output(link))

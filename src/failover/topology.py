@@ -30,6 +30,7 @@ __all__ = [
     "waxman_attempt",
     "is_two_connected",
     "check_node_count",
+    "check_positive_weights",
     "check_lattice_size",
     "load_topology",
     "loads_topology",
@@ -258,6 +259,19 @@ def check_node_count(n: int) -> None:
     """Raise ``ValueError`` unless the random generators accept ``n`` nodes."""
     if n < 3:
         raise ValueError("need at least 3 nodes")
+
+
+def check_positive_weights(t: Topology) -> None:
+    """Raise ``ValueError`` naming the first link of ``t`` of weight zero.
+
+    The preferred-path tie-break composes (the suffix of a preferred path is
+    the preferred path from its first node) only for positive weights: in
+    an all-zero triangle the preferred path 0->2 is (0, 1, 2), but from 1 it
+    is (1, 0, 2).  The protection builds and ``measure`` rely on it."""
+    for link in t.links:
+        if link.weight == 0:
+            raise ValueError(f"link {link.u}-{link.v} has weight {link.weight!r}; "
+                             "protection rules and metrics need positive link weights")
 
 
 def check_lattice_size(n: int) -> None:

@@ -274,3 +274,38 @@ def test_evaluate_passes_only_the_values_it_is_given(tmp_path, monkeypatch, caps
         OtherDefaults(sizes=(9,), seed=5, unweighted=True, jobs=2, optimized=False),
         OtherDefaults(unweighted=True, variants=("hybrid",)),
     ]
+
+
+@pytest.mark.parametrize("command", ["compute", "simulate"])
+@pytest.mark.parametrize("problem", ["missing", "malformed"])
+def test_unreadable_topology_is_one_error_line(tmp_path, capsys, command, problem):
+    topo = tmp_path / "topo.txt"
+    if problem == "malformed":
+        topo.write_text("3\n0 1 1.0\n1 2 x\n")
+        reason = "line 3: "
+    else:
+        reason = "No such file or directory"
+    argv = {
+        "compute": ["compute", "--topology", str(topo), "--variant", "per-link",
+                    "--out", str(tmp_path / "matrix.json")],
+        "simulate": ["simulate", "--topology", str(topo), "--matrix",
+                     str(tmp_path / "matrix.json"), "--src", "0", "--dst", "1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"failover {command}: {topo}: {reason}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "matrix.json").exists()
+
+
+@pytest.mark.parametrize("variant", ["per-link", "per-node", "hybrid"])
+def test_compute_rejects_a_zero_weight_link(tmp_path, capsys, variant):
+    topo = tmp_path / "topo.txt"
+    topo.write_text("4\n0 1 1.0\n1 2 0.0\n2 3 1.0\n0 3 1.0\n")
+    matrix = tmp_path / "matrix.json"
+    assert main(["compute", "--topology", str(topo), "--variant", variant,
+                 "--out", str(matrix)]) == 2
+    assert capsys.readouterr().err == (
+        f"failover compute: {topo}: link 1-2 has weight 0.0; "
+        "protection rules and metrics need positive link weights\n")
+    assert not matrix.exists()

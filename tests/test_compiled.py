@@ -5,7 +5,7 @@ reference walk returns on the matrix it was compiled from: same outcome,
 reason, steps, and the same float sums to the last bit.  On a matrix without
 keyed rules the compiled walk splices in suffixes remembered from earlier
 calls toward the same destination, so it is also checked under several call
-orders on one compiled matrix.
+orders on one compiled matrix; a matrix with keyed rules must keep no memo.
 """
 
 from __future__ import annotations
@@ -284,6 +284,8 @@ def assert_same_traces_in_every_order(fw: ForwardingMatrix, t: Topology, scenari
                 expected[key] = trace_key(simulate(fw, t, scenario, s, d))
             assert trace_key(simulate(compiled, t, scenario, s, d)) == expected[key], (
                 order, fw.mode, str(scenario), s, d)
+        if not compiled.memoizable:
+            assert compiled.memo == (None, {})
 
 
 @pytest.mark.parametrize(
@@ -295,10 +297,13 @@ def assert_same_traces_in_every_order(fw: ForwardingMatrix, t: Topology, scenari
     ],
     ids=["unit-er16", "unit-lattice25", "er16"],
 )
-@pytest.mark.parametrize("variant", PROTECTION_VARIANTS)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_memoized_walk_matches_reference_in_any_call_order(make, variant):
     t = make()
-    assert_same_traces_in_every_order(build_variant(t, variant), t, every_scenario(t))
+    fw = build_variant(t, variant)
+    # The disjoint baselines key rules on source and incoming link.
+    assert compile_matrix(fw, t).memoizable == (variant in PROTECTION_VARIANTS)
+    assert_same_traces_in_every_order(fw, t, every_scenario(t))
 
 
 def test_returned_traces_share_no_list_with_the_memo():
@@ -484,18 +489,19 @@ def random_matrix(t: Topology, rng: random.Random) -> ForwardingMatrix:
 def test_memoized_walk_matches_reference_on_random_graphs(t, seed):
     assert_same_traces_in_every_order(random_matrix(t, random.Random(seed)), t,
                                       every_scenario(t), seed)
-    # The protection builders fail on zero-weight links (see the xfail test
-    # below), so they get the graph with its zero weights set to one.
+    # The protection builders reject zero-weight links (see the test below),
+    # so they get the graph with its zero weights set to one.
     positive = Topology(t.n, [Link(link.u, link.v, link.weight or 1.0) for link in t.links])
     for build in (per_link_rules, per_node_rules, hybrid_rules):
         assert_same_traces_in_every_order(build(positive), positive, every_scenario(positive),
                                           seed)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="protection builds assume a primary path's suffix is the preferred "
-                          "path from its node, which zero-weight links can break")
-def test_protection_build_accepts_zero_weight_links():
+def test_protection_build_rejects_zero_weight_links():
+    # The builds assume a primary path's suffix is the preferred path from its
+    # node, which zero-weight links can break, so they refuse such links.
     t = Topology(4, [Link(0, 1, 0.0), Link(1, 2, 0.0), Link(2, 3, 0.0), Link(0, 3, 0.0),
                      Link(0, 2, 0.0)])
-    per_link_rules(t).validate()
+    for build in (per_link_rules, per_node_rules, hybrid_rules):
+        with pytest.raises(ValueError, match="link 0-1 has weight 0.0"):
+            build(t)

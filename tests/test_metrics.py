@@ -18,7 +18,7 @@ from failover.metrics import (
 )
 from failover.protect import hybrid_rules, per_link_rules
 from failover.spf import all_shortest_trees
-from failover.topology import FailureScenario, generate_erdos_renyi
+from failover.topology import FailureScenario, Link, Topology, generate_erdos_renyi
 
 from oracles import DetourOracle, all_to_all, path_weight
 
@@ -106,6 +106,13 @@ class TestMeasure:
             assert row.backup_avg >= 1.0
             assert row.crankback_avg >= 0.0
             assert row.loop_traces == 0
+
+    def test_zero_weight_link_is_rejected(self, unit_square):
+        # A pair at distance 0.0 has no path ratio; measure names the link.
+        zero = Topology(4, [Link(0, 1, 0.0), *unit_square.links[1:]])
+        for fw in (build_variant(zero, "disjoint-link"), per_link_rules(unit_square)):
+            with pytest.raises(ValueError, match="link 0-1 has weight 0.0"):
+                measure(fw, zero)
 
 
 class TestRunExperiment:

@@ -391,8 +391,7 @@ def test_build_without_pops_optimizes_to_the_full_builds_matrix(name, build):
 
 
 def test_build_without_pops_fails_as_the_full_build_on_zero_weights():
-    # Zero-weight links break the rejoin assertion or make detours collide;
-    # either way both builds must stop with the same error.
+    # Both builds must stop on a zero-weight link with the same error.
     pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
     raised = 0
     for bits in range(32):
