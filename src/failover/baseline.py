@@ -1,11 +1,44 @@
 """Min-sum fully-disjoint path pairs and crankback-routing rules.
 
 Pairs come from Suurballe's method.  One shortest-path tree per source gives
-every arc a non-negative reduced cost; per destination, a plain Dijkstra
-over those costs, with the first path's arcs reversed at zero cost, finds
-the second path, and cancelling interlacing arc pairs leaves the final two.
+every arc a non-negative reduced cost; per destination, a Dijkstra over
+those costs, with the first path's arcs reversed at zero cost, finds the
+second path, and cancelling interlacing arc pairs leaves the final two.
 This is the only pair engine.  Bhandari's arc reversal (negated weights,
-Bellman-Ford), which the tests compare it against, is in ``tests/oracles.py``.
+Bellman-Ford), which the tests compare it against, is in ``tests/oracles.py``,
+and so is the second search without a seed.
+
+The second search is seeded from the source's tree.  In the reduced costs
+``(w + dist[u]) - dist[v]`` every tree arc costs exactly 0.0, so a search
+over them keys every reached node ``(0.0, tree path)``.  For destination
+``d`` with first path ``p1`` (its tree path), only the arc lists of
+``p1``'s nodes change.  Call a node dead when its tree path passes
+``p1[1]``: by the prefix property of tree paths, that is every node whose
+tree path touches a node of ``p1`` other than the source.  Every other node
+is live and keeps its key; only the dead set is searched, from a heap of
+the live arcs that enter it, less the arc from the source to ``p1[1]``,
+which the residual graph drops.  This is exact:
+
+* Dijkstra's keys are the unique solution of ``K(src) = (0, (src,))`` and
+  ``K(x) = min over arcs (u, x) of (d(u) + r, p(u) + (x,))``, because each
+  extension is strictly larger than the key it extends.  So a seeded result
+  that satisfies these equations in the residual graph is the unseeded one.
+* They hold at every dead node by the search itself.  A live node's tree
+  path uses arcs of live nodes only, and the residual graph keeps them all,
+  so ``K(x) = (0.0, tree path)`` is still reached.  No live neighbour gives
+  less, as in the full graph.  A dead neighbour ``y`` gives
+  ``d(y) + r >= 0.0``, which ties ``0.0`` only when ``d(y)`` and ``r`` are
+  both 0.0; only those arcs are checked after the search, and a smaller
+  path ``p(y) + (x,)`` through one falls back to the unseeded search.  The
+  first path's reversed arcs lead to nodes of ``p1``, dead or the source,
+  and nothing beats the source's key.
+* The search stops at ``d``, like the unseeded one, so it settles exactly
+  the dead nodes keyed at or below ``d``; a dead node it leaves unsettled
+  is keyed above ``d`` and cannot change ``d``'s key.
+
+The dead set is fixed by ``p1[1]``, so :func:`_source_tree` builds the live
+keys, the heap and the arcs to check once per second node of the source's
+tree paths, and each pair copies them.
 
 Crankback rules mirror how fully-disjoint protection behaves in practice:
 primary-path rules match on (source, destination, incoming port); a node
@@ -17,6 +50,7 @@ the backup path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify
 from typing import Optional
 
 from .rules import (
@@ -25,6 +59,7 @@ from .rules import (
     PRIMARY,
     Bucket,
     ForwardingMatrix,
+    GroupRef,
     Match,
     Output,
     UncoveredEntry,
@@ -32,7 +67,7 @@ from .rules import (
 from .spf import all_shortest_trees, lex_dijkstra
 # Unused here; bound so that perfbench/tracing.py finds them by these names.
 from .spf import bellman_ford_distances, queued_bellman_ford  # noqa: F401
-from .topology import Link, Topology
+from .topology import Topology
 
 __all__ = [
     "DisjointPair",
@@ -42,8 +77,15 @@ __all__ = [
 ]
 
 ArcMap = dict[int, list[tuple[int, float]]]
-# A source's preferred shortest paths and its arcs with reduced costs.
-SourceTree = tuple[dict[int, tuple[int, ...]], ArcMap]
+# The seed of the second search for the destinations whose tree path starts
+# with one arc: live distances (all 0.0) and paths, the heapified live->dead
+# arcs, and the zero-cost dead->live arcs ``(dead, live)`` to check after it.
+Seed = tuple[dict[int, float], dict[int, tuple[int, ...]], list, list[tuple[int, int]]]
+# A source's preferred shortest paths, its arcs with reduced costs, and one
+# seed per second node of those paths.
+SourceTree = tuple[dict[int, tuple[int, ...]], ArcMap, dict[int, Seed]]
+# Index into ``t.links`` of the link under each arc ``(a, b)``.
+LinkIndex = dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -72,6 +114,13 @@ def _split_arc_map(t: Topology) -> ArcMap:
         arcs[2 * x] = [(2 * x + 1, 0.0)]
         arcs[2 * x + 1] = [(2 * v, w) for v, w, _link in t.neighbors(x)]
     return arcs
+
+
+def _link_index(t: Topology) -> LinkIndex:
+    index: LinkIndex = {}
+    for i, link in enumerate(t.links):
+        index[link.u, link.v] = index[link.v, link.u] = i
+    return index
 
 
 def _merge_split_path(path: tuple[int, ...]) -> tuple[int, ...]:
@@ -107,36 +156,76 @@ def _source_tree(arcs: ArcMap, src: int) -> SourceTree:
         for u, lst in arcs.items()
         if u in dist
     }
-    return paths, reduced
+    into: ArcMap = {u: [] for u in reduced}
+    for u, lst in reduced.items():
+        for v, r in lst:
+            into[v].append((u, r))
+    below: dict[int, list[int]] = {}
+    for x, path in paths.items():
+        if x != src:
+            below.setdefault(path[1], []).append(x)
+    seeds: dict[int, Seed] = {}
+    for top, dead in below.items():
+        live = dict(paths)
+        for y in dead:
+            del live[y]
+        # A live node is keyed 0.0, so an arc into the dead set is keyed r.
+        heap = [(r, live[x] + (y,)) for y in dead for x, r in into[y]
+                if x in live and (x != src or y != top)]
+        heapify(heap)
+        check = [(y, x) for y in dead for x, r in reduced[y] if r == 0.0 and x in live]
+        seeds[top] = (dict.fromkeys(live, 0.0), live, heap, check)
+    return paths, reduced, seeds
 
 
-def _disjoint_pair(
-    t: Topology, s: int, d: int, node_disjoint: bool, tree: SourceTree
-) -> Optional[DisjointPair]:
-    """Min-sum pair for ``s``-``d`` by Suurballe's method, from the
-    :func:`_source_tree` of ``s`` (of ``2s+1`` in the split arc map when
-    ``node_disjoint``).  The second path is a plain Dijkstra over the
-    reduced costs, with the first path's arcs replaced by zero-cost
-    reversals; only the arc lists at the first path's nodes change."""
-    if s == d:
-        raise ValueError("source and destination must differ")
-    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
-    paths, reduced = tree
+def _second_path(
+    tree: SourceTree, src: int, dst: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first path to ``dst`` and the second search's path, from the
+    seed of the first path's second node (see the module docstring)."""
+    paths, reduced, seeds = tree
     p1 = paths.get(dst)
     if p1 is None:
         return None
-    residual = dict(reduced)
+    changed: ArcMap = {}
     for prev, u, nxt in zip((None,) + p1, p1, p1[1:] + (None,)):
         # The anti-parallel arc of a used link is replaced, not kept, so a
         # physical link is never reused.
-        lst = [(v, w) for v, w in residual[u] if v != nxt and v != prev]
+        lst = [(v, w) for v, w in reduced[u] if v != nxt and v != prev]
         if prev is not None:
             lst.append((prev, 0.0))
-        residual[u] = lst
-    _, paths2 = lex_dijkstra(residual.__getitem__, src, (dst,))
-    if dst not in paths2:
+        changed[u] = lst
+
+    def residual(u: int) -> list[tuple[int, float]]:
+        lst = changed.get(u)
+        return reduced[u] if lst is None else lst
+
+    live_dist, live, heap, check = seeds[p1[1]]
+    dist, paths2 = dict(live_dist), dict(live)
+    lex_dijkstra(residual, src, (dst,), (dist, paths2, heap[:]))
+    for y, x in check:
+        if dist.get(y) == 0.0 and paths2[y] + (x,) < live[x]:
+            _, paths2 = lex_dijkstra(residual, src, (dst,))
+            break
+    p2 = paths2.get(dst)
+    return None if p2 is None else (p1, p2)
+
+
+def _disjoint_pair(
+    t: Topology, s: int, d: int, node_disjoint: bool, tree: SourceTree, index: LinkIndex
+) -> Optional[tuple[DisjointPair, list[int], list[int]]]:
+    """Min-sum pair for ``s``-``d`` by Suurballe's method, from the
+    :func:`_source_tree` of ``s`` (of ``2s+1`` in the split arc map when
+    ``node_disjoint``), with the ``t.links`` indices along its primary and
+    backup paths."""
+    if s == d:
+        raise ValueError("source and destination must differ")
+    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
+    found = _second_path(tree, src, dst)
+    if found is None:
         return None
-    return _make_pair(t, _untangle(src, dst, p1, paths2[dst]), node_disjoint)
+    p1, p2 = found
+    return _make_pair(t, index, _untangle(src, dst, p1, p2), node_disjoint)
 
 
 def _untangle(
@@ -165,23 +254,31 @@ def _untangle(
 
 
 def _make_pair(
-    t: Topology, paths: tuple[tuple[int, ...], tuple[int, ...]], node_disjoint: bool
-) -> DisjointPair:
+    t: Topology,
+    index: LinkIndex,
+    paths: tuple[tuple[int, ...], tuple[int, ...]],
+    node_disjoint: bool,
+) -> tuple[DisjointPair, list[int], list[int]]:
     a, b = (_merge_split_path(p) for p in paths) if node_disjoint else paths
-    wa, wb = (sum(link.weight for link in _links_along(t, p)) for p in (a, b))
+    links = t.links
+    la, lb = ([index[arc] for arc in zip(p, p[1:])] for p in (a, b))
+    wa, wb = (sum(links[i].weight for i in along) for along in (la, lb))
     if (wa, a) <= (wb, b):
-        return DisjointPair(a, wa, b, wb)
-    return DisjointPair(b, wb, a, wa)
+        return DisjointPair(a, wa, b, wb), la, lb
+    return DisjointPair(b, wb, a, wa), lb, la
 
 
 def suurballe_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
     """Min-sum pair of link-disjoint s-d paths, or None if no pair exists."""
-    return _disjoint_pair(t, s, d, False, _source_tree(_arc_map(t), s))
+    found = _disjoint_pair(t, s, d, False, _source_tree(_arc_map(t), s), _link_index(t))
+    return None if found is None else found[0]
 
 
 def suurballe_node_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
     """Min-sum pair of internally node-disjoint s-d paths, or None."""
-    return _disjoint_pair(t, s, d, True, _source_tree(_split_arc_map(t), 2 * s + 1))
+    tree = _source_tree(_split_arc_map(t), 2 * s + 1)
+    found = _disjoint_pair(t, s, d, True, tree, _link_index(t))
+    return None if found is None else found[0]
 
 
 def disjoint_rules(t: Topology, variant: str = "link") -> ForwardingMatrix:
@@ -198,74 +295,72 @@ def disjoint_rules(t: Topology, variant: str = "link") -> ForwardingMatrix:
     node_disjoint = variant == "node"
     fw = ForwardingMatrix(MODE_DISJOINT_NODE if node_disjoint else MODE_DISJOINT_LINK, t.n)
     arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
+    index = _link_index(t)
+    install = _RuleWriter(fw, t, index)
     fallback_trees = None
     for s in t.nodes:
         tree = _source_tree(arcs, 2 * s + 1 if node_disjoint else s)
         for d in range(s + 1, t.n):
-            pair = _disjoint_pair(t, s, d, node_disjoint, tree)
-            if pair is None:
+            found = _disjoint_pair(t, s, d, node_disjoint, tree, index)
+            if found is None:
                 if fallback_trees is None:
                     fallback_trees = all_shortest_trees(t)
                 for src, dst in ((s, d), (d, s)):
                     fw.uncovered.append(
                         UncoveredEntry("any_on_primary", src, dst, "no_disjoint_pair")
                     )
-                    if dst in fallback_trees[src].paths:
-                        _install_primary_only(fw, t, src, dst, fallback_trees[src].paths[dst])
+                    path = fallback_trees[src].paths.get(dst)
+                    if path is not None:
+                        install.primary_only(src, dst, path)
                 continue
-            _install_pair_rules(fw, t, s, d, pair)
-            mirrored = DisjointPair(
-                tuple(reversed(pair.primary)),
-                pair.primary_weight,
-                tuple(reversed(pair.backup)),
-                pair.backup_weight,
-            )
-            _install_pair_rules(fw, t, d, s, mirrored)
+            pair, p, b = found
+            install.pair(s, d, pair.primary, p, pair.backup, b)
+            install.pair(d, s, pair.primary[::-1], p[::-1], pair.backup[::-1], b[::-1])
     return fw
 
 
-def _links_along(t: Topology, path: tuple[int, ...]) -> list[Link]:
-    links = []
-    for a, b in zip(path, path[1:]):
-        link = t.link_between(a, b)
-        assert link is not None
-        links.append(link)
-    return links
+class _RuleWriter:
+    """Installs one build's rules, given paths with the ``t.links`` indices
+    along them.  It creates one ``Output`` per link and remembers each group
+    it interned by ``(node, first link index, second link index)``."""
 
+    __slots__ = ("fw", "index", "links", "outputs", "groups")
 
-def _install_pair_rules(
-    fw: ForwardingMatrix, t: Topology, src: int, dst: int, pair: DisjointPair
-) -> None:
-    p_links = _links_along(t, pair.primary)
-    b_links = _links_along(t, pair.backup)
-    # Source: fast failover between the two first hops, plus the rule that
-    # recognizes a cranked-back packet by its incoming port.
-    buckets = (
-        Bucket(p_links[0], Output(p_links[0])),
-        Bucket(b_links[0], Output(b_links[0])),
-    )
-    fw.add_rule(src, Match(PRIMARY, dst, src, None), fw.intern_group(src, buckets))
-    if len(pair.primary) > 2:
-        fw.add_rule(src, Match(PRIMARY, dst, src, p_links[0]), Output(b_links[0]))
-    for i in range(1, len(pair.primary) - 1):
-        x = pair.primary[i]
-        prev_link, next_link = p_links[i - 1], p_links[i]
-        buckets = (
-            Bucket(next_link, Output(next_link)),
-            Bucket(prev_link, Output(prev_link)),  # bounce back toward source
-        )
-        fw.add_rule(x, Match(PRIMARY, dst, src, prev_link), fw.intern_group(x, buckets))
-        # Pass returned packets further back along the prefix.
-        fw.add_rule(x, Match(PRIMARY, dst, src, next_link), Output(prev_link))
-    for i in range(1, len(pair.backup) - 1):
-        y = pair.backup[i]
-        fw.add_rule(y, Match(PRIMARY, dst, src, b_links[i - 1]), Output(b_links[i]))
+    def __init__(self, fw: ForwardingMatrix, t: Topology, index: LinkIndex):
+        self.fw = fw
+        self.index = index
+        self.links = t.links
+        self.outputs = [Output(link) for link in t.links]
+        self.groups: dict[tuple[int, int, int], GroupRef] = {}
 
+    def group(self, node: int, first: int, second: int) -> GroupRef:
+        ref = self.groups.get((node, first, second))
+        if ref is None:
+            links, outputs = self.links, self.outputs
+            buckets = (Bucket(links[first], outputs[first]), Bucket(links[second], outputs[second]))
+            ref = self.groups[node, first, second] = self.fw.intern_group(node, buckets)
+        return ref
 
-def _install_primary_only(
-    fw: ForwardingMatrix, t: Topology, src: int, dst: int, path: tuple[int, ...]
-) -> None:
-    links = _links_along(t, path)
-    fw.add_rule(src, Match(PRIMARY, dst, src, None), Output(links[0]))
-    for i in range(1, len(path) - 1):
-        fw.add_rule(path[i], Match(PRIMARY, dst, src, links[i - 1]), Output(links[i]))
+    def pair(self, src: int, dst: int, primary: tuple[int, ...], p: list[int],
+             backup: tuple[int, ...], b: list[int]) -> None:
+        add, links, outputs = self.fw.add_rule, self.links, self.outputs
+        # Source: fast failover between the two first hops, plus the rule that
+        # recognizes a cranked-back packet by its incoming port.
+        add(src, Match(PRIMARY, dst, src, None), self.group(src, p[0], b[0]))
+        if len(primary) > 2:
+            add(src, Match(PRIMARY, dst, src, links[p[0]]), outputs[b[0]])
+        for i in range(1, len(primary) - 1):
+            x, came, goes = primary[i], p[i - 1], p[i]
+            # The second bucket bounces the packet back toward the source.
+            add(x, Match(PRIMARY, dst, src, links[came]), self.group(x, goes, came))
+            # Pass returned packets further back along the prefix.
+            add(x, Match(PRIMARY, dst, src, links[goes]), outputs[came])
+        for i in range(1, len(backup) - 1):
+            add(backup[i], Match(PRIMARY, dst, src, links[b[i - 1]]), outputs[b[i]])
+
+    def primary_only(self, src: int, dst: int, path: tuple[int, ...]) -> None:
+        add, links, outputs = self.fw.add_rule, self.links, self.outputs
+        along = [self.index[arc] for arc in zip(path, path[1:])]
+        add(src, Match(PRIMARY, dst, src, None), outputs[along[0]])
+        for i in range(1, len(path) - 1):
+            add(path[i], Match(PRIMARY, dst, src, links[along[i - 1]]), outputs[along[i]])

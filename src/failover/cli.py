@@ -123,6 +123,9 @@ def _cmd_simulate(args) -> int:
     try:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             fw = ForwardingMatrix.from_json(json.load(fh), t)
+    except OSError as exc:
+        print(f"failover simulate: {args.matrix}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"failover simulate: {args.matrix}: not a valid matrix of this topology: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -152,9 +155,13 @@ _EVALUATE_FIELDS = {
 
 def _read_config_file(path: str) -> dict[str, str]:
     """The ``key=value`` lines of ``path``; raises ``ValueError`` on a key
-    that is not in ``_EVALUATE_FIELDS``."""
+    that is not in ``_EVALUATE_FIELDS`` and on a file it cannot read."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -274,10 +274,15 @@ _DROP_ACTION = (_DROP, "drop rule")
 def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     """Intern ``fw``'s labels and links and compile every rule and group once.
 
-    Links of ``t`` take the first link ids, in ``t.links`` order.  A group
-    that is not defined, or nested in a bucket, compiles to a drop with the
-    reason the reference walk gives when a packet reaches it.  Node ids in
-    rule keys must be non-negative ints, as in every :class:`Topology`.
+    One pass over the rules interns each rule's label and incoming link and
+    compiles its action, leaving a row per rule; the int keys are computed
+    from the rows afterwards, because their radices (the node bound and the
+    link count) are final only once every rule, action and group bucket is
+    interned.  Links of ``t`` take the first link ids, in ``t.links`` order.
+    A group that is not defined, or nested in a bucket, compiles to a drop
+    with the reason the reference walk gives when a packet reaches it.  Node
+    ids in rule keys must be non-negative ints, as in every
+    :class:`Topology`.
     """
     label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
     labels: list[FailureLabel] = [PRIMARY]
@@ -363,31 +368,38 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
                 _FORWARD, new_label, link, link.weight, lid, link_pairs[lid], link.u, link.v)
         return compiled
 
-    # Intern every label and link first: the key radices depend on the totals.
     n_nodes = 1
+    rows: list[list[tuple]] = []
     for table in fw.tables:
+        node_rows = []
+        rows.append(node_rows)
         for match, action in table.items():
-            label_id(match.label)
-            if match.in_link is not None:
-                link_id(match.in_link)
-            action_of(action)
-            n_nodes = max(n_nodes, match.dst + 1, 1 if match.src is None else match.src + 1)
+            lid = label_id(match.label)
+            in_link, src = match.in_link, match.src
+            in_key = 0 if in_link is None else link_id(in_link) + 1
+            compiled = action_of(action)
+            dst = match.dst
+            if dst >= n_nodes:
+                n_nodes = dst + 1
+            if src is None:
+                if in_key:
+                    continue  # an incoming link without a source never matches
+            elif src >= n_nodes:
+                n_nodes = src + 1
+            node_rows.append((lid, dst, src, in_key, compiled))
     n_in = len(link_pairs) + 1
     tables: list[dict[int, tuple]] = []
     keyed: list[bool] = []
-    for table in fw.tables:
+    for node_rows in rows:
         compiled_table: dict[int, tuple] = {}
         node_keyed = False
-        for match, action in table.items():
-            base = label_id(match.label) * n_nodes + match.dst
-            if match.src is None:
-                if match.in_link is None:
-                    compiled_table[base] = action_of(action)
-                # else: a rule without a source never matches a packet
+        for lid, dst, src, in_key, compiled in node_rows:
+            base = lid * n_nodes + dst
+            if src is None:
+                compiled_table[base] = compiled
             else:
                 node_keyed = True
-                in_key = 0 if match.in_link is None else link_id(match.in_link) + 1
-                compiled_table[-1 - (base * n_nodes + match.src) * n_in - in_key] = action_of(action)
+                compiled_table[-1 - (base * n_nodes + src) * n_in - in_key] = compiled
         tables.append(compiled_table)
         keyed.append(node_keyed)
 

@@ -219,12 +219,12 @@ class ForwardingMatrix:
     # -- construction ------------------------------------------------------
 
     def add_rule(self, node: int, match: Match, action: Action) -> None:
-        """Install a rule; re-adding an identical rule is a no-op, a
-        conflicting action for the same exact match is a bug."""
-        existing = self.tables[node].get(match)
-        if existing is not None and existing != action:
+        """Install a rule; re-adding an equal rule is a no-op, a
+        conflicting action for the same exact match is a bug and raises,
+        leaving the first action in place."""
+        existing = self.tables[node].setdefault(match, action)
+        if existing is not action and existing != action:
             raise rule_conflict(node, match, existing, action)
-        self.tables[node][match] = action
 
     def set_rule(self, node: int, match: Match, action: Action) -> None:
         self.tables[node][match] = action
@@ -253,12 +253,6 @@ class ForwardingMatrix:
         self._group_index = None
 
     # -- queries -----------------------------------------------------------
-
-    def get(self, node: int, match: Match) -> Optional[Action]:
-        return self.tables[node].get(match)
-
-    def group(self, group_id: int) -> GroupEntry:
-        return self.groups[group_id]
 
     def rule_count(self) -> int:
         return sum(len(table) for table in self.tables)

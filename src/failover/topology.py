@@ -175,9 +175,6 @@ class Topology:
         """Every node's ``neighbors`` tuple, indexed by node."""
         return self._adj
 
-    def degree(self, node: int) -> int:
-        return len(self._adj[node])
-
     def link_between(self, u: int, v: int) -> Optional[Link]:
         for other, _w, link in self._adj[u]:
             if other == v:

@@ -4,9 +4,10 @@ Everything here is deliberately naive: exhaustive enumeration, remove-and-
 retest connectivity, and path reconstruction from first principles.  The
 protection oracles are built on ``unseeded_tree`` only (a plain Dijkstra over
 a filtered view, itself validated against enumeration) and never touch the
-rule machinery or the seeded detour search they verify.  Two second engines
-check the library's own: Floyd-Warshall for shortest distances, and
-Bhandari's arc reversal for min-sum disjoint pairs.
+rule machinery or the seeded detour search they verify.  Second engines
+check the library's own: Floyd-Warshall for shortest distances, Bhandari's
+arc reversal for min-sum disjoint pairs, and an unseeded Suurballe search
+for the seeded second path.
 """
 
 from __future__ import annotations
@@ -197,6 +198,35 @@ def _arc_reversal_pair(
         pair = [(p[0] // 2,) + tuple(x // 2 for x in p[1:] if x % 2 == 0) for p in pair]
     primary, backup = sorted(pair, key=lambda p: (path_weight(t, p), p))
     return DisjointPair(primary, path_weight(t, primary), backup, path_weight(t, backup))
+
+
+def unseeded_second_path(
+    t: Topology, s: int, d: int, node_disjoint: bool
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The reference for the library's seeded second search: the first path
+    (the source tree's path to ``d``) and Suurballe's second path, by a plain
+    Dijkstra from the source alone over the whole residual graph in reduced
+    costs.  Paths are in the arc map of ``_arcs``; None when either path is
+    missing."""
+    src, dst = (2 * s + 1, 2 * d) if node_disjoint else (s, d)
+    arcs = _arcs(t, node_disjoint)
+    dist, paths = lex_dijkstra(arcs.__getitem__, src)
+    p1 = paths.get(dst)
+    if p1 is None:
+        return None
+    residual = {
+        u: [(v, (w + dist[u]) - dist[v]) for v, w in lst if v in dist]
+        for u, lst in arcs.items()
+        if u in dist
+    }
+    for prev, u, nxt in zip((None,) + p1, p1, p1[1:] + (None,)):
+        lst = [(v, w) for v, w in residual[u] if v != nxt and v != prev]
+        if prev is not None:
+            lst.append((prev, 0.0))
+        residual[u] = lst
+    _, paths2 = lex_dijkstra(residual.__getitem__, src, (dst,))
+    p2 = paths2.get(dst)
+    return None if p2 is None else (p1, p2)
 
 
 def bhandari_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from failover.baseline import (
+    _arc_map,
+    _second_path,
+    _source_tree,
+    _split_arc_map,
     disjoint_rules,
     suurballe_link_disjoint,
     suurballe_node_disjoint,
@@ -15,6 +22,7 @@ from failover.dataplane import simulate
 from failover.spf import shortest_tree
 from failover.topology import (
     FailureScenario,
+    Link,
     NO_FAILURE,
     Topology,
     generate_erdos_renyi,
@@ -25,17 +33,20 @@ from failover.topology import (
 from conftest import (
     complete,
     five_node_detour,
+    oracle_corpus,
     path3,
     square,
     theta_cut,
     trap,
     triangle,
+    two_connected_graphs,
 )
 from oracles import (
     bhandari_link_disjoint,
     bhandari_node_disjoint,
     brute_best_disjoint_pair,
     path_link_pairs,
+    unseeded_second_path,
 )
 
 
@@ -161,6 +172,53 @@ def test_production_pairs_equal_arc_reversal_reference(make, node_disjoint):
             assert (a is None) == (b is None), (s, d)
             if a is not None:
                 assert (a.primary, a.backup) == (b.primary, b.backup), (s, d)
+
+
+def zero_weight_er(seed: int) -> Topology:
+    """ER with weights drawn from {0, 1, 1, 2}: the disjoint builds accept
+    zero weights, and zero-cost arcs are what the seeded search checks."""
+    rng = random.Random(seed)
+    t = generate_erdos_renyi(rng.randint(5, 14), seed)
+    return Topology(t.n, [Link(l.u, l.v, rng.choice((0.0, 1.0, 1.0, 2.0))) for l in t.links])
+
+
+SEEDING_GRAPHS = {
+    "corpus": lambda: [t for _name, t in oracle_corpus()] + [trap(), theta_cut(), path3(),
+                                                            five_node_detour()],
+    "unit-er16": lambda: [unit_weights(generate_erdos_renyi(16, 2))],
+    "unit-er49": lambda: [unit_weights(generate_erdos_renyi(49, 3))],
+    "unit-lattice5x5": lambda: [unit_weights(generate_lattice(25, 1))],
+    "unit-lattice8x8": lambda: [unit_weights(generate_lattice(64, 1))],
+    "zero-weight-er": lambda: [zero_weight_er(seed) for seed in range(40)],
+}
+
+
+@pytest.mark.parametrize("node_disjoint", [False, True])
+@pytest.mark.parametrize("graphs", sorted(SEEDING_GRAPHS))
+def test_seeded_second_search_equals_unseeded(graphs, node_disjoint):
+    for t in SEEDING_GRAPHS[graphs]():
+        arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
+        for s in t.nodes:
+            src = 2 * s + 1 if node_disjoint else s
+            tree = _source_tree(arcs, src)
+            for d in range(s + 1, t.n):
+                dst = 2 * d if node_disjoint else d
+                expected = unseeded_second_path(t, s, d, node_disjoint)
+                assert _second_path(tree, src, dst) == expected, (t, s, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=two_connected_graphs(), node_disjoint=st.booleans())
+def test_pairs_on_tie_heavy_graphs(t, node_disjoint):
+    production = suurballe_node_disjoint if node_disjoint else suurballe_link_disjoint
+    reference = bhandari_node_disjoint if node_disjoint else bhandari_link_disjoint
+    for s, d in combinations(t.nodes, 2):
+        pair, expected = production(t, s, d), reference(t, s, d)
+        best = brute_best_disjoint_pair(t, s, d, node_disjoint)
+        assert (pair is None) == (expected is None) == (best is None), (s, d)
+        if pair is not None:
+            assert pair.total == best, (s, d)
+            assert (pair.primary, pair.backup) == (expected.primary, expected.backup), (s, d)
 
 
 def test_library_exports_no_oracle():

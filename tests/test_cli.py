@@ -309,3 +309,21 @@ def test_compute_rejects_a_zero_weight_link(tmp_path, capsys, variant):
         f"failover compute: {topo}: link 1-2 has weight 0.0; "
         "protection rules and metrics need positive link weights\n")
     assert not matrix.exists()
+
+
+def test_missing_matrix_is_one_error_line(tmp_path, capsys):
+    topo, matrix = tmp_path / "topo.txt", tmp_path / "absent.json"
+    main(["generate", "--kind", "lattice", "-n", "9", "--seed", "1", "--out", str(topo)])
+    capsys.readouterr()
+    assert main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
+                 "--src", "0", "--dst", "8"]) == 2
+    assert capsys.readouterr().err == (
+        f"failover simulate: {matrix}: No such file or directory\n")
+
+
+def test_missing_config_file_is_one_error_line(tmp_path, capsys):
+    cfg, csv_path = tmp_path / "absent.cfg", tmp_path / "out.csv"
+    assert main(["evaluate", "--config", str(cfg), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"failover evaluate: {cfg}: No such file or directory\n")
+    assert not csv_path.exists()

@@ -47,7 +47,7 @@ from failover.topology import (
     unit_weights,
 )
 
-from conftest import five_node_detour, square, triangle
+from conftest import five_node_detour, square, triangle, two_connected_graphs
 
 
 def trace_key(trace):
@@ -179,6 +179,22 @@ class TestHandMadeMatrices:
         compiled = compile_matrix(fw, t)
         assert simulate(compiled, t, NO_FAILURE, 0, 3).node_sequence == (0, 1, 0, 3)
         assert simulate(compiled, t, NO_FAILURE, 1, 3).outcome == "loop"
+
+    def test_link_first_seen_in_a_group_bucket_after_keyed_rules(self):
+        # Keys of the rules at nodes 0 and 1 depend on the link count, which
+        # grows when node 3's group brings in a link the square lacks.
+        t = square()
+        fw = _ring(t, "disjoint-link")
+        l01, l03, extra = t.link_between(0, 1), t.link_between(0, 3), Link(1, 3, 5.0)
+        fw.set_rule(1, Match(PRIMARY, 3, 0, l01), Output(l01))
+        fw.set_rule(0, Match(PRIMARY, 3, 0, l01), Output(l03))
+        fw.set_rule(3, Match(PRIMARY, 1), fw.intern_group(
+            3, (Bucket(extra, Output(extra)), Bucket(l03, Output(l03)))))
+        compiled = compile_matrix(fw, t)
+        assert compiled.n_in == len(t.links) + 2
+        assert_same_traces(fw, t, every_scenario(t) + [FailureScenario.link_down(1, 3)])
+        assert simulate(compiled, t, NO_FAILURE, 0, 3).node_sequence == (0, 1, 0, 3)
+        assert simulate(compiled, t, NO_FAILURE, 3, 1).node_sequence == (3, 1)
 
     def test_matrix_link_outside_topology(self):
         # A link the topology lacks still forwards, and failing it kills it.
@@ -438,18 +454,6 @@ class TestMemoizedWalk:
                 trace = simulate(compiled, t, NO_FAILURE, src, dst)
                 assert trace_key(trace) == trace_key(simulate(fw, t, NO_FAILURE, src, dst))
                 assert (trace.outcome, trace.reason) == ("dropped", "no matching rule")
-
-
-@st.composite
-def two_connected_graphs(draw):
-    """A ring with random chords: two-connected, weights zero, one or tied."""
-    n = draw(st.integers(4, 6))
-    chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
-    pairs = {(i, (i + 1) % n) for i in range(n)} | {(u, v) for u, v in chords if u != v}
-    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
-    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.5]),
-                            min_size=len(edges), max_size=len(edges)))
-    return Topology(n, [Link(u, v, w) for (u, v), w in zip(edges, weights)])
 
 
 def random_matrix(t: Topology, rng: random.Random) -> ForwardingMatrix:

@@ -61,7 +61,7 @@ class TestPerLink:
         for node, match, action in fw.iter_rules():
             if match.label == PRIMARY:
                 assert isinstance(action, GroupRef)
-                buckets = fw.group(action.group_id).buckets
+                buckets = fw.groups[action.group_id].buckets
                 assert len(buckets) == 2
                 assert isinstance(buckets[1].action, PushLabelOutput)
 
@@ -154,9 +154,9 @@ class TestHybrid:
     def test_upgrade_rule_is_a_group_on_the_link_label(self):
         t = hybrid_upgrade_instance()
         fw = hybrid_rules(t)
-        action = fw.get(4, Match(link_fail(1, 2), 3))
+        action = fw.tables[4].get(Match(link_fail(1, 2), 3))
         assert isinstance(action, GroupRef)
-        buckets = fw.group(action.group_id).buckets
+        buckets = fw.groups[action.group_id].buckets
         assert buckets[1].action.label == node_fail(2)
 
     def test_invocation_budget_recorded(self, unit_square):

@@ -7,8 +7,10 @@ import json
 import pytest
 
 from failover.metrics import ALL_VARIANTS, build_variant
-from failover.rules import ForwardingMatrix
+from failover.rules import PRIMARY, ForwardingMatrix, Match, Output
 from failover.topology import generate_erdos_renyi
+
+from conftest import square
 
 
 def stored(variant: str, n: int = 10, seed: int = 3):
@@ -84,3 +86,25 @@ def test_rule_naming_a_node_outside_the_topology_is_rejected(field, value):
         ForwardingMatrix.from_json(data, t)
 
 
+
+
+def test_re_adding_an_equal_action_is_a_no_op():
+    t = square()
+    fw = ForwardingMatrix("shortest", t.n)
+    match, link = Match(PRIMARY, 2), t.link_between(0, 1)
+    first = Output(link)
+    fw.add_rule(0, match, first)
+    fw.add_rule(0, match, Output(link))
+    assert fw.tables[0] == {match: first}
+    assert fw.tables[0][match] is first
+
+
+def test_conflicting_re_add_raises_and_keeps_the_first_action():
+    t = square()
+    fw = ForwardingMatrix("shortest", t.n)
+    match, first = Match(PRIMARY, 2), Output(t.link_between(0, 1))
+    fw.add_rule(0, match, first)
+    with pytest.raises(ValueError, match="conflicting rule at node 0"):
+        fw.add_rule(0, match, Output(t.link_between(0, 3)))
+    assert fw.tables[0] == {match: first}
+    assert fw.tables[0][match] is first
