@@ -26,19 +26,30 @@ which the residual graph drops.  This is exact:
 * They hold at every dead node by the search itself.  A live node's tree
   path uses arcs of live nodes only, and the residual graph keeps them all,
   so ``K(x) = (0.0, tree path)`` is still reached.  No live neighbour gives
-  less, as in the full graph.  A dead neighbour ``y`` gives
-  ``d(y) + r >= 0.0``, which ties ``0.0`` only when ``d(y)`` and ``r`` are
-  both 0.0; only those arcs are checked after the search, and a smaller
-  path ``p(y) + (x,)`` through one falls back to the unseeded search.  The
-  first path's reversed arcs lead to nodes of ``p1``, dead or the source,
-  and nothing beats the source's key.
+  less, as in the full graph.  The first path's reversed arcs lead to nodes
+  of ``p1``, dead or the source, and nothing beats the source's key.  A
+  dead neighbour ``y`` gives ``d(y) + r >= 0.0``, which ties ``0.0`` only
+  when ``d(y)`` and ``r`` are both 0.0 (a float sum of non-negative terms
+  is 0.0 only if every term is).  Even then ``p(y) + (x,)`` is larger than
+  ``x``'s tree path ``T(x)``.  Let ``c = p1[1]``:
+
+  - ``T(y) + (x,)`` is a simple full-graph path of 0.0 arcs, so
+    ``T(x) <= T(y) + (x,)``.  ``T(x)`` does not pass ``c``, so it is
+    ``(src,)`` or starts ``(src, c')`` with ``c' < c``.
+  - Every arc of ``p(y)`` is 0.0.  Let ``u`` be its first dead node and
+    ``v`` the node before it.  ``p(v) = T(v)``, and ``v -> u`` is a
+    full-graph arc, since reversed arcs leave only nodes of ``p1`` other
+    than the source.  So ``T(u) <= T(v) + (u,)``.  ``T(u)`` starts
+    ``(src, c)``.  ``T(v) + (u,)`` starts ``(src, c'')`` with ``c'' != c``,
+    because the residual graph drops ``src -> c``.  So ``c < c''``.
+  - ``p(y)`` also starts ``(src, c'')``, so ``p(y) + (x,) > T(x)``.
 * The search stops at ``d``, like the unseeded one, so it settles exactly
   the dead nodes keyed at or below ``d``; a dead node it leaves unsettled
   is keyed above ``d`` and cannot change ``d``'s key.
 
 The dead set is fixed by ``p1[1]``, so :func:`_source_tree` builds the live
-keys, the heap and the arcs to check once per second node of the source's
-tree paths, and each pair copies them.
+keys and the heap once per second node of the source's tree paths, and
+each pair copies them.
 
 Crankback rules mirror how fully-disjoint protection behaves in practice:
 primary-path rules match on (source, destination, incoming port); a node
@@ -78,9 +89,9 @@ __all__ = [
 
 ArcMap = dict[int, list[tuple[int, float]]]
 # The seed of the second search for the destinations whose tree path starts
-# with one arc: live distances (all 0.0) and paths, the heapified live->dead
-# arcs, and the zero-cost dead->live arcs ``(dead, live)`` to check after it.
-Seed = tuple[dict[int, float], dict[int, tuple[int, ...]], list, list[tuple[int, int]]]
+# with one arc: live distances (all 0.0) and paths, and the heapified
+# live->dead arcs.
+Seed = tuple[dict[int, float], dict[int, tuple[int, ...]], list]
 # A source's preferred shortest paths, its arcs with reduced costs, and one
 # seed per second node of those paths.
 SourceTree = tuple[dict[int, tuple[int, ...]], ArcMap, dict[int, Seed]]
@@ -173,8 +184,7 @@ def _source_tree(arcs: ArcMap, src: int) -> SourceTree:
         heap = [(r, live[x] + (y,)) for y in dead for x, r in into[y]
                 if x in live and (x != src or y != top)]
         heapify(heap)
-        check = [(y, x) for y in dead for x, r in reduced[y] if r == 0.0 and x in live]
-        seeds[top] = (dict.fromkeys(live, 0.0), live, heap, check)
+        seeds[top] = (dict.fromkeys(live, 0.0), live, heap)
     return paths, reduced, seeds
 
 
@@ -200,13 +210,8 @@ def _second_path(
         lst = changed.get(u)
         return reduced[u] if lst is None else lst
 
-    live_dist, live, heap, check = seeds[p1[1]]
-    dist, paths2 = dict(live_dist), dict(live)
-    lex_dijkstra(residual, src, (dst,), (dist, paths2, heap[:]))
-    for y, x in check:
-        if dist.get(y) == 0.0 and paths2[y] + (x,) < live[x]:
-            _, paths2 = lex_dijkstra(residual, src, (dst,))
-            break
+    live_dist, live, heap = seeds[p1[1]]
+    _, paths2 = lex_dijkstra(residual, src, (dst,), (dict(live_dist), dict(live), heap[:]))
     p2 = paths2.get(dst)
     return None if p2 is None else (p1, p2)
 

@@ -176,7 +176,8 @@ def test_production_pairs_equal_arc_reversal_reference(make, node_disjoint):
 
 def zero_weight_er(seed: int) -> Topology:
     """ER with weights drawn from {0, 1, 1, 2}: the disjoint builds accept
-    zero weights, and zero-cost arcs are what the seeded search checks."""
+    zero weights, and zero-cost arcs from dead to live nodes are the case
+    the seeded search's exactness argument has to rule out."""
     rng = random.Random(seed)
     t = generate_erdos_renyi(rng.randint(5, 14), seed)
     return Topology(t.n, [Link(l.u, l.v, rng.choice((0.0, 1.0, 1.0, 2.0))) for l in t.links])

@@ -6,24 +6,21 @@
 one with ``git archive``).  The workloads and the run length are those that
 ``BENCHMARK.json`` in the change tree declares.  For every workload and
 seeds 1-5, ``perfbench/run.py --trace 0`` runs in both trees, the side that
-goes first alternating from seed to seed; then ``--trace 1`` runs
-``REPEATS`` times per workload and tree at seed 1, alternating sides the same
-way.  The file keeps each run's last line of standard output (the result
-object) with its exit code and digest status.  Per workload it also keeps,
-over the untraced runs, each end-to-end metric's median and quartiles
-``[q1, median, q3]`` per side, and the number of seeds at which the change
-beats the parent on that metric (ties count for neither side); over the
-traced runs, each metric's ``[min, median, max]`` per side (``traced``).
+goes first alternating from seed to seed; then ``--trace 1`` runs once per
+workload and tree, at seed 1.  The file keeps each run's last line of
+standard output (the result object) with its exit code and digest status.
+Per workload it also keeps, over the untraced runs, each end-to-end
+metric's median and quartiles ``[q1, median, q3]`` per side, and the number
+of seeds at which the change beats the parent on that metric (ties count for
+neither side).
 
-Last, each tree runs the two end-to-end numbers ``REPEATS`` times, each run
-in a fresh process, alternating sides: the preset ``failover evaluate
---generator er --sizes 9,16,25,36,49 --runs 5 --seed 7 --jobs 1``, whose CSV
-must hash to ``PRESET_CSV_SHA256``, and the desk run (``run_experiment`` on
-ER n=25, 100 runs, seed 7).  Each is timed in wall seconds and in reference
-seconds, with ``perfbench/reference.py`` kernels run just before and just
-after it; ``end_to_end_spread`` keeps ``[min, median, max]`` of both per side.
-Every desk run's JSON report, without ``compute_seconds``, must hash the
-same.
+Last, each tree runs the two end-to-end numbers, each in a fresh process:
+the preset ``failover evaluate --generator er --sizes 9,16,25,36,49 --runs 5
+--seed 7 --jobs 1``, whose CSV must hash to ``PRESET_CSV_SHA256``, and the
+desk run (``run_experiment`` on ER n=25, 100 runs, seed 7).  Each is timed
+in wall seconds and in reference seconds, with ``perfbench/reference.py``
+kernels run just before and just after it.  The desk run's JSON report,
+without ``compute_seconds``, must hash the same on both sides.
 """
 
 from __future__ import annotations
@@ -37,9 +34,6 @@ import tempfile
 from pathlib import Path
 
 SEEDS = [1, 2, 3, 4, 5]
-# Runs per side of each traced pass and each end-to-end number: one run can
-# be off by 30% on every layer.
-REPEATS = 3
 PRESET_CSV_SHA256 = "617bce60fca6069882723ba815e60cbb9577b4d2799b21148d00bd11dfccec51"
 
 # Runs in a fresh process in the root of a source tree; argv[1] is "preset"
@@ -133,27 +127,6 @@ def quartiles(runs: list[dict]) -> dict:
             for name, v in _values(runs).items()}
 
 
-def spread(values: list[float]) -> list[float]:
-    """``[min, median, max]`` of ``values``."""
-    return [min(values), statistics.median(values), max(values)]
-
-
-def traced_spread(runs: list[dict]) -> dict:
-    """``[min, median, max]`` of each metric over the traced runs of one
-    side; a metric that is null in some run is left out."""
-    values: dict[str, list[float]] = {}
-    for run in runs:
-        if run["trace"] == 1 and run["result"]:
-            for name, metric in run["result"]["metrics"].items():
-                values.setdefault(name, []).append(metric["value"])
-    return {name: spread(v) for name, v in values.items() if None not in v}
-
-
-def alternate(index: int) -> tuple[str, str]:
-    """The order of the two sides in the ``index``-th round."""
-    return ("parent", "change") if index % 2 == 0 else ("change", "parent")
-
-
 def wins(parent: list[dict], change: list[dict], lower_is_better: dict[str, bool]) -> dict:
     """Per end-to-end metric, the seeds at which the untraced change run
     beats the untraced parent run; a tie counts for neither."""
@@ -185,42 +158,32 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for workload in workloads:
         for index, seed in enumerate(SEEDS):
-            for side in alternate(index):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            for side in order:
                 run = run_once(roots[side], workload, seed, seconds, 0)
                 runs[side].append(run)
                 print(f"{side} {workload} seed={seed} exit={run['exit_code']} "
                       f"digest={run['digest_status']}", file=sys.stderr, flush=True)
     for workload in workloads:
-        for index in range(REPEATS):
-            for side in alternate(index):
-                run = run_once(roots[side], workload, SEEDS[0], seconds, 1)
-                runs[side].append(run)
-                print(f"{side} {workload} traced exit={run['exit_code']}", file=sys.stderr,
-                      flush=True)
+        for side in ("parent", "change"):
+            run = run_once(roots[side], workload, SEEDS[0], seconds, 1)
+            runs[side].append(run)
+            print(f"{side} {workload} traced exit={run['exit_code']}", file=sys.stderr, flush=True)
 
-    end_to_end: dict[str, dict[str, list[dict]]] = {
-        side: {"preset": [], "desk": []} for side in ("parent", "change")}
-    for which in ("preset", "desk"):
-        for index in range(REPEATS):
-            for side in alternate(index):
-                run = run_end_to_end(roots[side], which)
-                end_to_end[side][which].append(run)
-                print(f"{side} {which} exit={run['exit_code']} wall_s={run.get('wall_s')}",
-                      file=sys.stderr, flush=True)
-    every = [run for side in end_to_end.values() for done in side.values() for run in done]
-    desk_hashes = {run.get("sha256") for side in end_to_end.values() for run in side["desk"]}
+    end_to_end: dict[str, dict[str, dict]] = {"parent": {}, "change": {}}
+    for index, which in enumerate(("preset", "desk")):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_end_to_end(roots[side], which)
+            end_to_end[side][which] = run
+            print(f"{side} {which} exit={run['exit_code']} wall_s={run.get('wall_s')}",
+                  file=sys.stderr, flush=True)
     end_to_end_ok = (
-        all(run["exit_code"] == 0 for run in every)
-        and all(run.get("sha256") == PRESET_CSV_SHA256
-                for side in end_to_end.values() for run in side["preset"])
-        and len(desk_hashes) == 1 and None not in desk_hashes
+        all(run["exit_code"] == 0 for side in end_to_end.values() for run in side.values())
+        and all(end_to_end[side]["preset"].get("sha256") == PRESET_CSV_SHA256
+                for side in end_to_end)
+        and end_to_end["parent"]["desk"].get("sha256") == end_to_end["change"]["desk"].get("sha256")
     )
-    end_to_end_spread = {
-        side: {which: {unit: spread([run[unit] for run in done])
-                       for unit in ("wall_s", "reference_s")}
-               for which, done in by_side.items() if all("wall_s" in run for run in done)}
-        for side, by_side in end_to_end.items()
-    }
 
     def of(side: str, workload: str) -> list[dict]:
         return [r for r in runs[side] if r["workload"] == workload]
@@ -236,11 +199,8 @@ def main(argv=None) -> int:
         "change_wins": {workload: wins(of("parent", workload), of("change", workload),
                                        lower_is_better)
                         for workload in workloads},
-        "traced": {workload: {side: traced_spread(of(side, workload)) for side in runs}
-                   for workload in workloads},
         "runs": runs,
         "end_to_end": end_to_end,
-        "end_to_end_spread": end_to_end_spread,
         "end_to_end_ok": end_to_end_ok,
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
