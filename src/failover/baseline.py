@@ -303,7 +303,7 @@ def disjoint_rules(t: Topology, variant: str = "link") -> ForwardingMatrix:
     index = _link_index(t)
     install = _RuleWriter(fw, t, index)
     fallback_trees = None
-    for s in t.nodes:
+    for s in range(t.n - 1):  # the last source has no destination above it
         tree = _source_tree(arcs, 2 * s + 1 if node_disjoint else s)
         for d in range(s + 1, t.n):
             found = _disjoint_pair(t, s, d, node_disjoint, tree, index)

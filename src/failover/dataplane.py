@@ -149,7 +149,9 @@ def simulate(
     """Forward one packet from ``src`` to ``dst`` under ``scenario``.
 
     ``fw`` is a :class:`ForwardingMatrix` (the reference walk) or the
-    :class:`CompiledMatrix` of one (the same trace, faster per hop).
+    :class:`CompiledMatrix` of one (the same trace, faster per hop).  A
+    scenario naming a link or node that ``t`` does not have kills nothing;
+    ``failover simulate`` rejects such a scenario before it gets here.
     """
     if src == dst:
         raise ValueError("source and destination must differ")

@@ -90,22 +90,7 @@ class MetricsRow:
                 return "nan" if math.isnan(x) else f"{x:.6f}"
             return str(x)
 
-        return ",".join(
-            [
-                self.network,
-                self.variant,
-                str(self.size),
-                num(self.flow_entries),
-                num(self.group_fwd_entries),
-                num(self.distinct_groups),
-                num(self.primary_ratio),
-                num(self.backup_avg),
-                num(self.backup_min),
-                num(self.backup_max),
-                num(self.crankback_avg),
-                num(self.crankback_max),
-            ]
-        )
+        return ",".join(num(getattr(self, name)) for name in CSV_HEADER.split(","))
 
 
 def _on_path_scenarios(mode: str, sequence: tuple[int, ...],

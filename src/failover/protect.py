@@ -184,11 +184,9 @@ def _install_family(ctx: _Build, family: str, counter: SpCounter, hybrid: bool) 
             targets = set(base_targets)
             if hybrid and family == _NODE:
                 targets |= ctx.upgrade_targets.get((n, m), set())
-            tree_targets = targets - ({m} if family == _NODE else set())
             # One detour computation per outgoing arc, affected set or not:
             # the complexity budget is exactly |N| + 2·|links| invocations.
-            tree = shortest_tree(t, n, excluded=scenario, targets=tree_targets,
-                                 counter=counter, primary=ctx.trees[n])
+            tree = shortest_tree(t, n, scenario, counter=counter, primary=ctx.trees[n])
             first_hops: dict[int, Optional[Link]] = {}
             for d in sorted(targets):
                 if family == _NODE and d == m:

@@ -35,10 +35,9 @@ searched, from a heap of the live arcs that enter it.  This is exact:
   ``d'(y) + w == d(x)``; this needs ``d(y) + w == d(x)`` already, so only
   those arcs are checked after the search, and a violation falls back to
   searching every node.
-* An early stop settles every node whose key is at or below the last
-  target's, so the seeded tree keeps exactly the inherited nodes with such
-  keys; the largest-keyed inherited target goes back on the heap so that
-  the search runs that far.
+
+A failure the tree does not use changes no key, so the tree itself is the
+result.
 """
 
 from __future__ import annotations
@@ -80,9 +79,10 @@ class SpCounter:
 
 
 class ShortestPathTree:
-    """Single-source result: exact distances, preferred paths, first links."""
+    """Single-source result: exact distances, preferred paths, first links.
+    Nodes the source cannot reach are absent."""
 
-    __slots__ = ("source", "dist", "paths", "next_link", "unreachable")
+    __slots__ = ("source", "dist", "paths", "next_link")
 
     def __init__(
         self,
@@ -90,110 +90,79 @@ class ShortestPathTree:
         dist: dict[int, float],
         paths: dict[int, tuple[int, ...]],
         next_link: dict[int, Link],
-        unreachable: frozenset[int],
     ):
         self.source = source
         self.dist = dist
         self.paths = paths
         self.next_link = next_link
-        self.unreachable = unreachable
 
 
 def shortest_tree(
     t: Topology,
     src: int,
     excluded: FailureScenario = NO_FAILURE,
-    targets: Optional[Iterable[int]] = None,
+    *,
     counter: Optional[SpCounter] = None,
     primary: Optional[ShortestPathTree] = None,
 ) -> ShortestPathTree:
     """Dijkstra from ``src`` over ``t`` minus ``excluded``.
 
-    If ``targets`` is given the search may stop once all reachable targets
-    are settled; their distances equal the unrestricted run's.  Unreachable
-    targets end up in ``tree.unreachable`` rather than raising.
-
     With something excluded, the search is seeded from ``primary``, the
     full unrestricted tree of ``src`` as this function returns it; it is
-    computed here when not given.  The result does not depend on it.
+    computed here when not given.  The result does not depend on it, and is
+    ``primary`` itself when the tree does not use the failed element.
     """
     if counter is not None:
         counter.count += 1
-    want = None if targets is None else set(targets)
     if excluded.kind == "none":
-        return _tree(t, src, *lex_dijkstra(t.neighbors, src, want), want)
+        return _tree(t, src, *lex_dijkstra(t.neighbors, src))
     if primary is None:
-        primary = _tree(t, src, *lex_dijkstra(t.neighbors, src), None)
-    return _detour_tree(t, src, excluded, want, primary)
+        primary = _tree(t, src, *lex_dijkstra(t.neighbors, src))
+    return _detour_tree(t, src, excluded, primary)
 
 
 def _tree(
-    t: Topology,
-    src: int,
-    dist: dict[int, float],
-    paths: dict[int, tuple[int, ...]],
-    want: Optional[set[int]],
+    t: Topology, src: int, dist: dict[int, float], paths: dict[int, tuple[int, ...]]
 ) -> ShortestPathTree:
     hop = {nb: link for nb, _w, link in t.neighbors(src)}
     next_link = {dst: hop[path[1]] for dst, path in paths.items() if dst != src}
-    unreachable = frozenset(want.difference(dist)) if want else frozenset()
-    return ShortestPathTree(src, dist, paths, next_link, unreachable)
+    return ShortestPathTree(src, dist, paths, next_link)
 
 
 def _detour_tree(
-    t: Topology,
-    src: int,
-    excluded: FailureScenario,
-    want: Optional[set[int]],
-    primary: ShortestPathTree,
+    t: Topology, src: int, excluded: FailureScenario, primary: ShortestPathTree
 ) -> ShortestPathTree:
     """``shortest_tree`` with something excluded, seeded from ``primary``
     (see the module docstring)."""
-    if want is not None and want <= {src}:
-        # An unseeded search settles the source and stops.
-        return _tree(t, src, {src: 0.0}, {src: (src,)}, want)
     pdist, ppaths = primary.dist, primary.paths
     adj = list(t.adjacency)
     failed = None
     if excluded.kind == "link":
-        a, b = excluded.u, excluded.v
-        for u, gone in ((a, b), (b, a)):
-            if 0 <= u < t.n:
-                adj[u] = tuple(arc for arc in adj[u] if arc[0] != gone)
         # The subtree below the failed link, if the tree uses it.
+        a, b = excluded.u, excluded.v
         pa, pb = ppaths.get(a, ()), ppaths.get(b, ())
         top = b if pb[-2:] == (a, b) else a if pa[-2:] == (b, a) else None
+        if top is not None:
+            adj[a] = tuple(arc for arc in adj[a] if arc[0] != b)
+            adj[b] = tuple(arc for arc in adj[b] if arc[0] != a)
     elif excluded.v in ppaths:
         top = failed = excluded.v
         adj[failed] = ()
     else:
         top = None
+    if top is None:
+        return primary
 
     def unseeded() -> ShortestPathTree:
         if failed is not None:
             for u, _w, _l in t.neighbors(failed):
                 adj[u] = tuple(arc for arc in adj[u] if arc[0] != failed)
-        return _tree(t, src, *lex_dijkstra(adj.__getitem__, src, want), want)
+        return _tree(t, src, *lex_dijkstra(adj.__getitem__, src))
 
     if top == src:
         return unseeded()
-    dead: set[int] = set()
-    if top is not None:
-        depth = len(ppaths[top]) - 1
-        dead = {x for x, p in ppaths.items() if len(p) > depth and p[depth] == top}
-
-    # The targets the search must settle before it may stop; None when some
-    # target was unreachable even before the failure, so nothing stops early.
-    stop: Optional[set[int]] = None
-    deferred = None
-    if want is not None and want <= ppaths.keys():
-        stop = want & dead
-        inherited = want - dead
-        inherited.discard(src)
-        if inherited:
-            deferred = max(inherited, key=lambda x: (pdist[x], ppaths[x]))
-            stop.add(deferred)
-
+    depth = len(ppaths[top]) - 1
+    dead = {x for x, p in ppaths.items() if len(p) > depth and p[depth] == top}
     dist, paths = dict(pdist), dict(ppaths)
     for x in dead:
         del dist[x], paths[x]
@@ -201,38 +170,23 @@ def _detour_tree(
     risky = []
     for y in dead:
         for x, w, _l in adj[y]:
-            if x not in dead and x != deferred:
+            if x not in dead:
                 dx = pdist[x]
                 heap.append((dx + w, ppaths[x] + (y,)))
                 if pdist[y] + w == dx:
                     risky.append((y, x, w))
-    if deferred is not None:
-        del dist[deferred], paths[deferred]
-        heap.append((pdist[deferred], ppaths[deferred]))
     if heap:
         if failed is not None:
             # Listed as settled, the failed node is never pushed, so the arc
             # lists that lead to it need no filtering.
             dist[failed] = pdist[failed]
         heapify(heap)
-        lex_dijkstra(adj.__getitem__, src, stop, (dist, paths, heap))
+        lex_dijkstra(adj.__getitem__, src, seed=(dist, paths, heap))
         dist.pop(failed, None)
     for y, x, w in risky:
         if y in dist and dist[y] + w == pdist[x] and paths[y] + (x,) < ppaths[x]:
             return unseeded()
-    if deferred is not None and paths[deferred] != ppaths[deferred]:
-        return unseeded()
-    if stop is not None and stop <= dist.keys():
-        # Drop the inherited nodes an unseeded search would not reach before
-        # its last target; the primary tree lists them in settle order.
-        last = max((dist[x], paths[x]) for x in stop)
-        for x in reversed(ppaths):
-            if x in dead:
-                continue
-            if (pdist[x], ppaths[x]) <= last:
-                break
-            del dist[x], paths[x]
-    return _tree(t, src, dist, paths, want)
+    return _tree(t, src, dist, paths)
 
 
 def all_shortest_trees(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from failover.baseline import DisjointPair
 from failover.rules import ForwardingMatrix
@@ -54,24 +54,19 @@ class AdjacencyView:
 
 
 def unseeded_tree(
-    t: Topology,
-    src: int,
-    excluded: FailureScenario = NO_FAILURE,
-    targets: Optional[Iterable[int]] = None,
+    t: Topology, src: int, excluded: FailureScenario = NO_FAILURE
 ) -> ShortestPathTree:
     """The reference for ``shortest_tree``: one plain Dijkstra from ``src``
-    over the view of ``t`` minus ``excluded``, stopping once every target is
-    settled, with nothing taken from another tree."""
-    want = None if targets is None else set(targets)
-    dist, paths = lex_dijkstra(AdjacencyView(t, excluded).neighbors, src, want)
+    over the view of ``t`` minus ``excluded``, with nothing taken from
+    another tree."""
+    dist, paths = lex_dijkstra(AdjacencyView(t, excluded).neighbors, src)
     next_link: dict[int, Link] = {}
     for dst, path in paths.items():
         if dst != src:
             link = t.link_between(src, path[1])
             assert link is not None
             next_link[dst] = link
-    unreachable = frozenset(want.difference(dist)) if want else frozenset()
-    return ShortestPathTree(src, dist, paths, next_link, unreachable)
+    return ShortestPathTree(src, dist, paths, next_link)
 
 
 def all_to_all(t: Topology) -> tuple[ForwardingMatrix, AffectedSets]:

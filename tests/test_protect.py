@@ -419,8 +419,13 @@ def tied_two_connected_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(t=tied_two_connected_graphs())
 def test_build_without_pops_on_random_tied_graphs(t):
-    for build in PROTECTION_BUILDS:
-        assert _optimized_json(build, t, False) == _optimized_json(build, t, True)
+    # The JSON carries the build's stats, so this also checks criterion 6:
+    # |N| + 2·|links| SP invocations per failure family, with or without pops.
+    for build, families in zip(PROTECTION_BUILDS, (1, 1, 2)):
+        lean, full = _optimized_json(build, t, False), _optimized_json(build, t, True)
+        assert lean == full
+        for text in (lean, full):
+            assert json.loads(text)["stats"]["sp_invocations"] == t.n + 2 * families * len(t.links)
 
 
 @pytest.mark.parametrize("build", [per_node_rules, hybrid_rules])

@@ -5,22 +5,25 @@
 ``--parent`` and ``--change`` are roots of source checkouts (make the parent
 one with ``git archive``).  The workloads and the run length are those that
 ``BENCHMARK.json`` in the change tree declares.  For every workload and
-seeds 1-5, ``perfbench/run.py --trace 0`` runs in both trees, the side that
-goes first alternating from seed to seed; then ``--trace 1`` runs once per
-workload and tree, at seed 1.  The file keeps each run's last line of
-standard output (the result object) with its exit code and digest status.
-Per workload it also keeps, over the untraced runs, each end-to-end
-metric's median and quartiles ``[q1, median, q3]`` per side, and the number
-of seeds at which the change beats the parent on that metric (ties count for
-neither side).
+seeds 1-10, ``perfbench/run.py --trace 0`` runs in both trees, the side that
+goes first alternating from seed to seed, so one recording holds ten
+alternating pairs; then ``--trace 1`` runs ``REPEATS`` times per workload
+and tree at seed 1, again alternating sides.  The file keeps each run's last
+line of standard output (the result object) with its exit code and digest
+status.  Per workload it also keeps, over the untraced runs, each end-to-end
+metric's median and quartiles ``[q1, median, q3]`` per side, the number of
+seeds at which the change beats the parent on that metric (ties count for
+neither side), and over the traced runs each metric's median per side.
 
-Last, each tree runs the two end-to-end numbers, each in a fresh process:
-the preset ``failover evaluate --generator er --sizes 9,16,25,36,49 --runs 5
---seed 7 --jobs 1``, whose CSV must hash to ``PRESET_CSV_SHA256``, and the
-desk run (``run_experiment`` on ER n=25, 100 runs, seed 7).  Each is timed
-in wall seconds and in reference seconds, with ``perfbench/reference.py``
-kernels run just before and just after it.  The desk run's JSON report,
-without ``compute_seconds``, must hash the same on both sides.
+Last, each tree runs the two end-to-end numbers ``REPEATS`` times, each run
+in a fresh process and the side that goes first alternating: the preset
+``failover evaluate --generator er --sizes 9,16,25,36,49 --runs 5 --seed 7
+--jobs 1``, whose CSV must hash to ``PRESET_CSV_SHA256``, and the desk run
+(``run_experiment`` on ER n=25, 100 runs, seed 7).  Each is timed in wall
+seconds and in reference seconds, with ``perfbench/reference.py`` kernels
+run just before and just after it; the file keeps every run, and per side
+the median and the spread ``[min, max]`` of both times.  Every desk run's
+JSON report, without ``compute_seconds``, must hash the same on both sides.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SEEDS = [1, 2, 3, 4, 5]
+SEEDS = list(range(1, 11))
+REPEATS = 3  # traced passes and end-to-end runs per side
 PRESET_CSV_SHA256 = "617bce60fca6069882723ba815e60cbb9577b4d2799b21148d00bd11dfccec51"
 
 # Runs in a fresh process in the root of a source tree; argv[1] is "preset"
@@ -105,19 +109,24 @@ def run_end_to_end(root: Path, which: str) -> dict:
     return {"exit_code": done.returncode, **result}
 
 
-def _values(runs: list[dict]) -> dict[str, list[float]]:
-    """Each end-to-end metric's values over the untraced runs of one side."""
+def _values(runs: list[dict], trace: int = 0) -> dict[str, list[float]]:
+    """Each metric's values over the runs of one side with ``--trace``
+    ``trace``; a null value (a ratio with nothing to divide) is left out."""
     values: dict[str, list[float]] = {}
     for run in runs:
-        if run["trace"] == 0 and run["result"]:
+        if run["trace"] == trace and run["result"]:
             for name, metric in run["result"]["metrics"].items():
-                values.setdefault(name, []).append(metric["value"])
+                values.setdefault(name, [])
+                if metric["value"] is not None:
+                    values[name].append(metric["value"])
     return values
 
 
-def medians(runs: list[dict]) -> dict:
-    """Median of each end-to-end metric over the untraced runs of one side."""
-    return {name: statistics.median(v) for name, v in _values(runs).items()}
+def medians(runs: list[dict], trace: int = 0) -> dict:
+    """Median of each metric over the runs of one side with ``--trace``
+    ``trace``, or None where no run has a value."""
+    return {name: statistics.median(v) if v else None
+            for name, v in _values(runs, trace).items()}
 
 
 def quartiles(runs: list[dict]) -> dict:
@@ -165,25 +174,41 @@ def main(argv=None) -> int:
                 print(f"{side} {workload} seed={seed} exit={run['exit_code']} "
                       f"digest={run['digest_status']}", file=sys.stderr, flush=True)
     for workload in workloads:
-        for side in ("parent", "change"):
-            run = run_once(roots[side], workload, SEEDS[0], seconds, 1)
-            runs[side].append(run)
-            print(f"{side} {workload} traced exit={run['exit_code']}", file=sys.stderr, flush=True)
+        for repeat in range(REPEATS):
+            order = ("parent", "change") if repeat % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(roots[side], workload, SEEDS[0], seconds, 1)
+                runs[side].append(run)
+                print(f"{side} {workload} traced exit={run['exit_code']}",
+                      file=sys.stderr, flush=True)
 
-    end_to_end: dict[str, dict[str, dict]] = {"parent": {}, "change": {}}
-    for index, which in enumerate(("preset", "desk")):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        for side in order:
-            run = run_end_to_end(roots[side], which)
-            end_to_end[side][which] = run
-            print(f"{side} {which} exit={run['exit_code']} wall_s={run.get('wall_s')}",
-                  file=sys.stderr, flush=True)
+    ends = ("preset", "desk")
+    end_to_end: dict[str, dict[str, list[dict]]] = {
+        side: {which: [] for which in ends} for side in runs}
+    for repeat in range(REPEATS):
+        for index, which in enumerate(ends):
+            order = ("parent", "change") if (repeat + index) % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_end_to_end(roots[side], which)
+                end_to_end[side][which].append(run)
+                print(f"{side} {which} exit={run['exit_code']} wall_s={run.get('wall_s')}",
+                      file=sys.stderr, flush=True)
+    every = [run for side in end_to_end.values() for done in side.values() for run in done]
     end_to_end_ok = (
-        all(run["exit_code"] == 0 for side in end_to_end.values() for run in side.values())
-        and all(end_to_end[side]["preset"].get("sha256") == PRESET_CSV_SHA256
-                for side in end_to_end)
-        and end_to_end["parent"]["desk"].get("sha256") == end_to_end["change"]["desk"].get("sha256")
+        all(run["exit_code"] == 0 for run in every)
+        and all(run.get("sha256") == PRESET_CSV_SHA256
+                for side in end_to_end.values() for run in side["preset"])
+        and len({run.get("sha256") for side in end_to_end.values() for run in side["desk"]}) == 1
     )
+
+    def spread(done: list[dict]) -> dict:
+        summary = {}
+        for unit in ("wall_s", "reference_s"):
+            values = [run[unit] for run in done if unit in run]
+            if values:
+                summary[unit] = {"median": statistics.median(values),
+                                 "spread": [min(values), max(values)]}
+        return summary
 
     def of(side: str, workload: str) -> list[dict]:
         return [r for r in runs[side] if r["workload"] == workload]
@@ -192,8 +217,11 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace T",
         "seeds": SEEDS,
+        "repeats": REPEATS,
         "medians": {workload: {side: medians(of(side, workload)) for side in runs}
                     for workload in workloads},
+        "traced_medians": {workload: {side: medians(of(side, workload), 1) for side in runs}
+                           for workload in workloads},
         "quartiles": {workload: {side: quartiles(of(side, workload)) for side in runs}
                       for workload in workloads},
         "change_wins": {workload: wins(of("parent", workload), of("change", workload),
@@ -201,6 +229,8 @@ def main(argv=None) -> int:
                         for workload in workloads},
         "runs": runs,
         "end_to_end": end_to_end,
+        "end_to_end_summary": {side: {which: spread(done) for which, done in by_end.items()}
+                               for side, by_end in end_to_end.items()},
         "end_to_end_ok": end_to_end_ok,
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
