@@ -136,6 +136,18 @@ def quartiles(runs: list[dict]) -> dict:
             for name, v in _values(runs).items()}
 
 
+def spread(done: list[dict]) -> dict:
+    """Median and ``[min, max]`` of the wall and reference seconds of one
+    side's runs of one end-to-end number."""
+    summary = {}
+    for unit in ("wall_s", "reference_s"):
+        values = [run[unit] for run in done if unit in run]
+        if values:
+            summary[unit] = {"median": statistics.median(values),
+                             "spread": [min(values), max(values)]}
+    return summary
+
+
 def wins(parent: list[dict], change: list[dict], lower_is_better: dict[str, bool]) -> dict:
     """Per end-to-end metric, the seeds at which the untraced change run
     beats the untraced parent run; a tie counts for neither."""
@@ -200,15 +212,6 @@ def main(argv=None) -> int:
                 for side in end_to_end.values() for run in side["preset"])
         and len({run.get("sha256") for side in end_to_end.values() for run in side["desk"]}) == 1
     )
-
-    def spread(done: list[dict]) -> dict:
-        summary = {}
-        for unit in ("wall_s", "reference_s"):
-            values = [run[unit] for run in done if unit in run]
-            if values:
-                summary[unit] = {"median": statistics.median(values),
-                                 "spread": [min(values), max(values)]}
-        return summary
 
     def of(side: str, workload: str) -> list[dict]:
         return [r for r in runs[side] if r["workload"] == workload]
