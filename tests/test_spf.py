@@ -61,9 +61,30 @@ class TestShortestTree:
             tree = shortest_tree(t, 0, cut, primary=primary)
             assert tree.dist.keys() == tree.paths.keys() == left
             assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, cut))
-        # On the path 0-1-2 the cut 0-1 leaves only the source.
-        tree = shortest_tree(path3(), 0, FailureScenario.link_down(0, 1))
+
+    def test_unreachable_targets_reported_not_raised(self):
+        # On the path 0-1-2 the cut 0-1 leaves only the source: the whole
+        # tree and the Dijkstra core's search for target 2 both leave 2 out.
+        t, cut = path3(), FailureScenario.link_down(0, 1)
+        tree = shortest_tree(t, 0, cut)
         assert tree.paths == {0: (0,)} and tree.next_link == {}
+        dist, paths = lex_dijkstra(AdjacencyView(t, cut).neighbors, 0, {2})
+        assert 2 not in dist and paths == {0: (0,)}
+
+    def test_early_stop_reports_only_unreached_targets(self):
+        # Two unit triangles joined by the bridge 2-3, which fails; the
+        # Dijkstra core's targets stop, as the disjoint baselines use it.
+        t = Topology(6, [Link(u, v, 1.0) for u, v in
+                         ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5))])
+        cut = FailureScenario.link_down(2, 3)
+        arcs_of = AdjacencyView(t, cut).neighbors
+        full = shortest_tree(t, 0, cut)
+        dist, paths = lex_dijkstra(arcs_of, 0, {0, 1, 4, 5})
+        assert {0, 1, 4, 5} - dist.keys() == {4, 5}
+        assert paths == full.paths and dist == full.dist
+        # Stopped once node 1 settled: node 2 is left unsettled.
+        dist, paths = lex_dijkstra(arcs_of, 0, {1})
+        assert paths == {0: (0,), 1: (0, 1)}
 
     def test_early_stop_returns_same_distances(self):
         # The Dijkstra core's targets, with which the disjoint baselines stop
