@@ -47,9 +47,10 @@ which the residual graph drops.  This is exact:
   the dead nodes keyed at or below ``d``; a dead node it leaves unsettled
   is keyed above ``d`` and cannot change ``d``'s key.
 
-The dead set is fixed by ``p1[1]``, so :func:`_source_tree` builds the live
-keys and the heap once per second node of the source's tree paths, and
-each pair copies them.
+The dead set is fixed by ``p1[1]``, so the live keys and the heap are
+built once per second node of the source's tree paths, when a destination
+first needs them, and each pair copies them.  The source's tree is the
+topology's shared one (``failover.spf``).
 
 Crankback rules mirror how fully-disjoint protection behaves in practice:
 primary-path rules match on (source, destination, incoming port); a node
@@ -75,9 +76,9 @@ from .rules import (
     Output,
     UncoveredEntry,
 )
-from .spf import all_shortest_trees, lex_dijkstra
+from .spf import check_connected, lex_dijkstra, split_tree
 # Unused here; bound so that perfbench/tracing.py finds them by these names.
-from .spf import bellman_ford_distances, queued_bellman_ford  # noqa: F401
+from .spf import all_shortest_trees, bellman_ford_distances, queued_bellman_ford  # noqa: F401
 from .topology import Topology
 
 __all__ = [
@@ -92,9 +93,9 @@ ArcMap = dict[int, list[tuple[int, float]]]
 # with one arc: live distances (all 0.0) and paths, and the heapified
 # live->dead arcs.
 Seed = tuple[dict[int, float], dict[int, tuple[int, ...]], list]
-# A source's preferred shortest paths, its arcs with reduced costs, and one
-# seed per second node of those paths.
-SourceTree = tuple[dict[int, tuple[int, ...]], ArcMap, dict[int, Seed]]
+# A source's preferred shortest paths, its arcs with reduced costs, the arcs
+# into each node, and the seeds built so far, by second node of those paths.
+SourceTree = tuple[dict[int, tuple[int, ...]], ArcMap, ArcMap, dict[int, Seed]]
 # Index into ``t.links`` of the link under each arc ``(a, b)``.
 LinkIndex = dict[tuple[int, int], int]
 
@@ -157,11 +158,13 @@ def _simplify(walk: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _source_tree(arcs: ArcMap, src: int) -> SourceTree:
-    """What all destinations of ``src`` share.  The reduced costs
-    ``(w + dist[u]) - dist[v]`` are exactly >= 0 in floats (dist[v] is the
-    min over candidates that include dist[u] + w)."""
-    dist, paths = lex_dijkstra(arcs.__getitem__, src)
+def _source_tree(t: Topology, arcs: ArcMap, s: int, node_disjoint: bool) -> SourceTree:
+    """What all destinations of ``s`` share, from its shared tree in ``t``
+    (mapped onto ``arcs``, the split arc map, when ``node_disjoint``).  The
+    reduced costs ``(w + dist[u]) - dist[v]`` are exactly >= 0 in floats
+    (dist[v] is the min over candidates that include dist[u] + w)."""
+    tree = t.shortest_paths().trees[s]
+    dist, paths = split_tree(t, s) if node_disjoint else (tree.dist, tree.paths)
     reduced = {
         u: [(v, (w + dist[u]) - dist[v]) for v, w in lst if v in dist]
         for u, lst in arcs.items()
@@ -171,21 +174,17 @@ def _source_tree(arcs: ArcMap, src: int) -> SourceTree:
     for u, lst in reduced.items():
         for v, r in lst:
             into[v].append((u, r))
-    below: dict[int, list[int]] = {}
-    for x, path in paths.items():
-        if x != src:
-            below.setdefault(path[1], []).append(x)
-    seeds: dict[int, Seed] = {}
-    for top, dead in below.items():
-        live = dict(paths)
-        for y in dead:
-            del live[y]
-        # A live node is keyed 0.0, so an arc into the dead set is keyed r.
-        heap = [(r, live[x] + (y,)) for y in dead for x, r in into[y]
-                if x in live and (x != src or y != top)]
-        heapify(heap)
-        seeds[top] = (dict.fromkeys(live, 0.0), live, heap)
-    return paths, reduced, seeds
+    return paths, reduced, into, {}
+
+
+def _seed(paths: dict[int, tuple[int, ...]], into: ArcMap, src: int, top: int) -> Seed:
+    """The seed for the destinations whose tree path starts ``(src, top)``.
+    A live node is keyed 0.0, so an arc into the dead set is keyed r."""
+    live = {x: path for x, path in paths.items() if path[1:2] != (top,)}
+    heap = [(r, live[x] + (y,)) for y in paths if y not in live for x, r in into[y]
+            if x in live and (x != src or y != top)]
+    heapify(heap)
+    return dict.fromkeys(live, 0.0), live, heap
 
 
 def _second_path(
@@ -193,7 +192,7 @@ def _second_path(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The first path to ``dst`` and the second search's path, from the
     seed of the first path's second node (see the module docstring)."""
-    paths, reduced, seeds = tree
+    paths, reduced, into, seeds = tree
     p1 = paths.get(dst)
     if p1 is None:
         return None
@@ -210,6 +209,8 @@ def _second_path(
         lst = changed.get(u)
         return reduced[u] if lst is None else lst
 
+    if p1[1] not in seeds:
+        seeds[p1[1]] = _seed(paths, into, src, p1[1])
     live_dist, live, heap = seeds[p1[1]]
     _, paths2 = lex_dijkstra(residual, src, (dst,), (dict(live_dist), dict(live), heap[:]))
     p2 = paths2.get(dst)
@@ -275,13 +276,14 @@ def _make_pair(
 
 def suurballe_link_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
     """Min-sum pair of link-disjoint s-d paths, or None if no pair exists."""
-    found = _disjoint_pair(t, s, d, False, _source_tree(_arc_map(t), s), _link_index(t))
+    tree = _source_tree(t, _arc_map(t), s, False)
+    found = _disjoint_pair(t, s, d, False, tree, _link_index(t))
     return None if found is None else found[0]
 
 
 def suurballe_node_disjoint(t: Topology, s: int, d: int) -> Optional[DisjointPair]:
     """Min-sum pair of internally node-disjoint s-d paths, or None."""
-    tree = _source_tree(_split_arc_map(t), 2 * s + 1)
+    tree = _source_tree(t, _split_arc_map(t), s, True)
     found = _disjoint_pair(t, s, d, True, tree, _link_index(t))
     return None if found is None else found[0]
 
@@ -293,30 +295,28 @@ def disjoint_rules(t: Topology, variant: str = "link") -> ForwardingMatrix:
     destination, incoming link); intermediate detection bounces the packet
     back along its prefix and the source switches over to the backup path.
     Pairs with no disjoint pair fall back to plain shortest-path rules and
-    are recorded as uncovered.
+    are recorded as uncovered.  A disconnected topology raises
+    ``DisconnectedTopologyError``, as the protection builds do.
     """
     if variant not in ("link", "node"):
         raise ValueError(f"variant must be 'link' or 'node', got {variant!r}")
     node_disjoint = variant == "node"
     fw = ForwardingMatrix(MODE_DISJOINT_NODE if node_disjoint else MODE_DISJOINT_LINK, t.n)
     arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
+    trees = t.shortest_paths().trees
+    check_connected(t, trees)
     index = _link_index(t)
     install = _RuleWriter(fw, t, index)
-    fallback_trees = None
     for s in range(t.n - 1):  # the last source has no destination above it
-        tree = _source_tree(arcs, 2 * s + 1 if node_disjoint else s)
+        tree = _source_tree(t, arcs, s, node_disjoint)
         for d in range(s + 1, t.n):
             found = _disjoint_pair(t, s, d, node_disjoint, tree, index)
             if found is None:
-                if fallback_trees is None:
-                    fallback_trees = all_shortest_trees(t)
                 for src, dst in ((s, d), (d, s)):
                     fw.uncovered.append(
                         UncoveredEntry("any_on_primary", src, dst, "no_disjoint_pair")
                     )
-                    path = fallback_trees[src].paths.get(dst)
-                    if path is not None:
-                        install.primary_only(src, dst, path)
+                    install.primary_only(src, dst, trees[src].paths[dst])
                 continue
             pair, p, b = found
             install.pair(s, d, pair.primary, p, pair.backup, b)

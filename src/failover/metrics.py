@@ -23,7 +23,8 @@ from .baseline import disjoint_rules
 from .dataplane import LOOP, compile_matrix, simulate
 from .protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from .rules import MODE_DISJOINT_NODE, MODE_HYBRID, MODE_PER_NODE, ForwardingMatrix
-from .spf import all_shortest_trees
+# Unused here; bound so that perfbench/tracing.py finds it by this name.
+from .spf import all_shortest_trees  # noqa: F401
 from .topology import (
     NO_FAILURE,
     FailureScenario,
@@ -116,7 +117,7 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
     A link of weight zero raises ``ValueError`` before any work is done.
     """
     check_positive_weights(t)
-    trees = all_shortest_trees(t)
+    trees = t.shortest_paths().trees
     compiled = compile_matrix(fw, t)
     scenarios: dict = {v: FailureScenario.node_down(v) for v in t.nodes}
     for link in t.links:

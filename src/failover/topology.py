@@ -136,7 +136,7 @@ class GenerationError(RuntimeError):
 class Topology:
     """Immutable weighted undirected graph over nodes ``0..n-1``."""
 
-    __slots__ = ("n", "_links", "_adj")
+    __slots__ = ("n", "_links", "_adj", "_shortest_paths")
 
     def __init__(self, n: int, links: Iterable[Link]):
         if n < 0:
@@ -157,6 +157,7 @@ class Topology:
         for row in adj:
             row.sort()
         self._adj = tuple(tuple(row) for row in adj)
+        self._shortest_paths = None
 
     @property
     def nodes(self) -> range:
@@ -180,6 +181,16 @@ class Topology:
             if other == v:
                 return link
         return None
+
+    def shortest_paths(self):
+        """This object's ``failover.spf.ShortestPaths``, built on the first
+        call and shared by every build and ``measure`` on the object.  It
+        belongs to the object, not to its value: an equal ``Topology``
+        builds its own.  Callers must not modify it."""
+        if self._shortest_paths is None:
+            from .spf import ShortestPaths
+            self._shortest_paths = ShortestPaths(self)
+        return self._shortest_paths
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -19,7 +19,7 @@ from failover.baseline import (
     suurballe_node_disjoint,
 )
 from failover.dataplane import simulate
-from failover.spf import shortest_tree
+from failover.spf import DisconnectedTopologyError, shortest_tree
 from failover.topology import (
     FailureScenario,
     Link,
@@ -201,7 +201,7 @@ def test_seeded_second_search_equals_unseeded(graphs, node_disjoint):
         arcs = _split_arc_map(t) if node_disjoint else _arc_map(t)
         for s in t.nodes:
             src = 2 * s + 1 if node_disjoint else s
-            tree = _source_tree(arcs, src)
+            tree = _source_tree(t, arcs, s, node_disjoint)
             for d in range(s + 1, t.n):
                 dst = 2 * d if node_disjoint else d
                 expected = unseeded_second_path(t, s, d, node_disjoint)
@@ -275,6 +275,14 @@ class TestDisjointRules:
         # fallback still forwards when nothing fails
         trace = simulate(fw, t, NO_FAILURE, 0, 3)
         assert trace.delivered
+
+    @pytest.mark.parametrize("variant", ["link", "node"])
+    def test_disconnected_topology_raises_as_protection_builds_do(self, variant):
+        # Without the check, the build installed rules for the pairs it
+        # could reach and gave a matrix that ``validate`` rejects.
+        t = Topology(4, [Link(0, 1, 1.0), Link(2, 3, 1.0)])
+        with pytest.raises(DisconnectedTopologyError, match=r"^nodes \[2, 3\] unreachable from 0$"):
+            disjoint_rules(t, variant)
 
     def test_delivery_under_all_on_path_link_failures(self):
         for seed in range(5):

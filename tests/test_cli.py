@@ -113,6 +113,19 @@ def test_simulate_rejects_elements_not_in_topology(tmp_path, capsys):
         assert captured.err.startswith("failover simulate: ")
 
 
+def test_compute_rejects_a_disconnected_topology_for_every_variant(tmp_path, capsys):
+    topo = tmp_path / "topo.txt"
+    topo.write_text("4\n0 1 1\n2 3 1\n", encoding="utf-8")
+    matrix = tmp_path / "matrix.json"
+    for variant in ("per-link", "per-node", "hybrid", "disjoint-link", "disjoint-node"):
+        code = main(["compute", "--topology", str(topo), "--variant", variant,
+                     "--out", str(matrix)])
+        captured = capsys.readouterr()
+        assert code == 2, variant
+        assert captured.err == f"failover compute: {topo}: nodes [2, 3] unreachable from 0\n"
+        assert not matrix.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_evaluate_rejects_fewer_than_one_job(jobs, capsys):
     with pytest.raises(SystemExit) as exc:

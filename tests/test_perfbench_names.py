@@ -41,15 +41,24 @@ def test_traced_pass_gives_a_number_for_every_layer_metric(workload, monkeypatch
     rec = workloads.Recorder(workload)
     rec.tracer = tracer = tracing.Tracer()
     tracer.install()
+    queries: dict = {}
     try:
-        mark = tracer.mark()
-        workloads.run_pass(plan, items, seed, rec, {}, True)
-        summary = tracer.summary(mark)
+        summaries = []
+        for first in (True, False):
+            mark = tracer.mark()
+            workloads.run_pass(plan, items, seed, rec, queries, first)
+            summaries.append(tracer.summary(mark))
     finally:
         tracer.uninstall()
     assert rec.failures == []
+    # Each pass computes every topology's full trees once, on its fresh
+    # object, inside a timed call: not in an untimed check, and not carried
+    # over from the pass before.
+    for summary in summaries:
+        assert tracing.layer_metrics(tracer, summary)["spf.full_trees"] == sum(
+            item.topology.n for item in items)
 
-    values = tracing.layer_metrics(tracer, summary)
+    values = tracing.layer_metrics(tracer, summaries[0])
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     names = [metric["name"] for metric in declared if metric["name"] in values]
     assert "dataplane.us_per_hop" in names

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from failover.dataplane import simulate
+from failover.metrics import ALL_VARIANTS, build_variant
 from failover.protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from failover.rules import (
     ForwardingMatrix,
@@ -31,7 +32,7 @@ from failover.topology import (
     unit_weights,
 )
 
-from conftest import hybrid_upgrade_instance, path3, square
+from conftest import hybrid_upgrade_instance, oracle_corpus, path3, square
 from oracles import DetourOracle, path_weight
 
 
@@ -388,6 +389,23 @@ def test_build_without_pops_optimizes_to_the_full_builds_matrix(name, build):
     expected = optimize(full, t).to_json()
     assert optimize(lean, t).to_json() == expected
     assert expected["stats"]["rules_before_optimize"] == full.rule_count()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CORPUS) + ["oracle-corpus"])
+def test_builds_on_a_warm_shared_context_equal_builds_on_a_fresh_one(name):
+    # Builds read a topology's shared trees and primary table and never
+    # change them: on an object that earlier builds have warmed, every
+    # variant gives the matrix a fresh object gives, byte for byte.
+    graphs = ([t for _name, t in oracle_corpus()] if name == "oracle-corpus"
+              else [DIFFERENTIAL_CORPUS[name]()])
+    builds = [(v, True) for v in ALL_VARIANTS] + [(v, False) for v in ALL_VARIANTS[:3]]
+    for t in graphs:
+        fresh = {(v, opt): json.dumps(build_variant(Topology(t.n, t.links), v, opt).to_json())
+                 for v, opt in builds}
+        warm = Topology(t.n, t.links)
+        build_variant(warm, "per-link")
+        for v, opt in builds:
+            assert json.dumps(build_variant(warm, v, opt).to_json()) == fresh[v, opt], (t, v, opt)
 
 
 def test_build_without_pops_fails_as_the_full_build_on_zero_weights():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -11,16 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import failover
+from failover import spf
+from failover.baseline import _split_arc_map
+from failover.metrics import ALL_VARIANTS, build_variant, measure
 from failover.rules import Output, PRIMARY
 from failover.spf import (
     DisconnectedTopologyError,
     SpCounter,
     all_shortest_trees,
     lex_dijkstra,
+    primary_matrix_from_trees,
     queued_bellman_ford,
     shortest_tree,
+    split_tree,
 )
 from failover.topology import (
+    NO_FAILURE,
     FailureScenario,
     Link,
     Topology,
@@ -355,15 +362,15 @@ class TestSeededDetour:
 
 
 @st.composite
-def two_connected_graphs(draw):
-    """A ring with random chords; weights zero, tied, unit, or decimals whose
-    sums round."""
+def two_connected_graphs(draw, palettes=((0.0, 1.0, 1.0, 2.0), (1.0,), (0.1, 0.2, 0.3, 0.4, 1.0))):
+    """A ring with random chords; by default weights zero, tied, unit, or
+    decimals whose sums round."""
     n = draw(st.integers(4, 8))
     chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=2 * n))
     pairs = {(i, (i + 1) % n) for i in range(n)} | {(u, v) for u, v in chords if u != v}
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
-    palette = draw(st.sampled_from([(0.0, 1.0, 1.0, 2.0), (1.0,), (0.1, 0.2, 0.3, 0.4, 1.0)]))
+    palette = draw(st.sampled_from(palettes))
     weights = draw(st.lists(st.sampled_from(palette), min_size=len(edges), max_size=len(edges)))
     return Topology(n, [Link(u, v, w) for (u, v), w in zip(edges, weights)])
 
@@ -372,6 +379,83 @@ def two_connected_graphs(draw):
 @given(t=two_connected_graphs())
 def test_seeded_equals_unseeded_on_random_graphs(t):
     assert_seeded_equals_unseeded(t)
+
+
+def count_full_trees(monkeypatch) -> list[int]:
+    """Counts, from now on, the full trees ``failover.spf`` computes."""
+    calls = [0]
+    real = spf.shortest_tree
+
+    def counting(t, src, excluded=NO_FAILURE, **kwargs):
+        calls[0] += excluded.kind == "none"
+        return real(t, src, excluded, **kwargs)
+
+    monkeypatch.setattr(spf, "shortest_tree", counting)
+    return calls
+
+
+def tree_snapshot(trees) -> list:
+    return copy.deepcopy([tree_fields(tree) for tree in trees])
+
+
+class TestSharedPaths:
+    def test_one_set_of_trees_per_object_across_builds_and_measures(self, monkeypatch):
+        t = generate_erdos_renyi(12, 4)
+        expected_trees = tree_snapshot(all_shortest_trees(t))
+        expected_fw, expected_affected = primary_matrix_from_trees(t, all_shortest_trees(t))
+        calls = count_full_trees(monkeypatch)
+        budget = {"per-link": t.n + 2 * len(t.links), "per-node": t.n + 2 * len(t.links),
+                  "hybrid": t.n + 4 * len(t.links)}
+        built = [build_variant(t, v) for v in ALL_VARIANTS]
+        shared = t.shortest_paths()
+        for v, fw in zip(ALL_VARIANTS, built):
+            if v in budget:
+                assert fw.stats["sp_invocations"] == budget[v], v
+            measure(fw, t)
+        # A warm build counts the trees it read, as a cold one does.
+        assert build_variant(t, "per-node").stats["sp_invocations"] == budget["per-node"]
+        assert calls == [t.n]
+        assert t.shortest_paths() is shared
+        # Nothing the builds and measures read from the context has changed.
+        assert tree_snapshot(shared.trees) == expected_trees
+        template, affected = shared.primary
+        assert template.tables == expected_fw.tables
+        assert affected == expected_affected
+
+    def test_equal_topology_computes_its_own(self, monkeypatch):
+        t = generate_erdos_renyi(10, 2)
+        shared = t.shortest_paths()
+        twin = Topology(t.n, t.links)
+        assert twin == t and hash(twin) == hash(t)
+        calls = count_full_trees(monkeypatch)
+        build_variant(twin, "disjoint-link")
+        assert calls == [twin.n]
+        assert twin.shortest_paths() is not shared
+        assert t.shortest_paths() is shared
+
+    def test_measure_alone_needs_no_primary_table(self):
+        t = generate_erdos_renyi(9, 1)
+        measure(build_variant(Topology(t.n, t.links), "per-link"), t)
+        assert t.shortest_paths().primary is None
+
+
+def assert_split_tree_is_the_split_graph_search(t: Topology) -> None:
+    arcs = _split_arc_map(t)
+    for s in t.nodes:
+        assert split_tree(t, s) == lex_dijkstra(arcs.__getitem__, 2 * s + 1), (t, s)
+
+
+def test_split_tree_equals_the_split_graph_search_on_the_corpus():
+    disconnected = [Topology(4, [Link(0, 1, 1.0), Link(2, 3, 1.0)]),
+                    Topology(3, [Link(0, 1, 2.0)])]
+    for t in [t for _name, t in oracle_corpus()] + disconnected:
+        assert_split_tree_is_the_split_graph_search(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=two_connected_graphs(((1.0, 1.0, 2.0), (1.0,), (0.5, 1.0, 2.0), (0.0, 1.0, 2.0))))
+def test_split_tree_equals_the_split_graph_search_on_random_graphs(t):
+    assert_split_tree_is_the_split_graph_search(t)
 
 
 class TestOracleView:
