@@ -33,10 +33,19 @@ def _parse_scenario(text: str) -> FailureScenario:
         return NO_FAILURE
     kind, _, rest = text.partition(":")
     if kind == "link":
-        u, v = rest.split("-")
-        return FailureScenario.link_down(int(u), int(v))
+        try:
+            u, v = (int(end) for end in rest.split("-"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected link:U-V, got {text!r}") from None
+        try:
+            return FailureScenario.link_down(u, v)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
     if kind == "node":
-        return FailureScenario.node_down(int(rest))
+        try:
+            return FailureScenario.node_down(int(rest))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected node:V, got {text!r}") from None
     raise argparse.ArgumentTypeError(
         f"scenario must be 'none', 'link:U-V' or 'node:V', got {text!r}"
     )

@@ -326,6 +326,9 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     compiled_forwards: dict[tuple[int, int], tuple] = {}
     compiled_groups: dict[int, tuple] = {}
 
+    # ``group_of`` calls ``action_of`` and not the other way round: two
+    # closures that call each other form a reference cycle, which keeps
+    # ``fw`` and every table below alive until the next collection.
     def group_of(group_id: int) -> tuple:
         compiled = compiled_groups.get(group_id)
         if compiled is None:
@@ -335,11 +338,7 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
             else:
                 buckets = []
                 for watch, bucket_action in entry.buckets:
-                    if isinstance(bucket_action, GroupRef):
-                        compiled_bucket = (_DROP, f"group {bucket_action.group_id} "
-                                                  "is nested in a group bucket")
-                    else:
-                        compiled_bucket = action_of(bucket_action)
+                    compiled_bucket = action_of(bucket_action)
                     if watch is None:
                         buckets.append((None, None, None, compiled_bucket))
                     else:
@@ -350,10 +349,11 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
         return compiled
 
     def action_of(action: Action) -> tuple:
+        """A rule's or bucket's action, except a rule's group reference."""
         if isinstance(action, Output):
             return forward(-1, action.link)
         if isinstance(action, GroupRef):
-            return group_of(action.group_id)
+            return (_DROP, f"group {action.group_id} is nested in a group bucket")
         if isinstance(action, (PushLabelOutput, RewriteLabelOutput)):
             return forward(label_id(action.label), action.link)
         if isinstance(action, PopLabelOutput):
@@ -379,7 +379,8 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
             lid = label_id(match.label)
             in_link, src = match.in_link, match.src
             in_key = 0 if in_link is None else link_id(in_link) + 1
-            compiled = action_of(action)
+            compiled = (group_of(action.group_id) if isinstance(action, GroupRef)
+                        else action_of(action))
             dst = match.dst
             if dst >= n_nodes:
                 n_nodes = dst + 1

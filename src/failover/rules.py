@@ -18,6 +18,8 @@ Label semantics:
 
 from __future__ import annotations
 
+import gc
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -383,40 +385,76 @@ class ForwardingMatrix:
         only links of ``t``, known labels and action types, and passes
         :meth:`validate`; a missing key raises ``KeyError``.  Each distinct
         label, link and action is parsed once per load.
+
+        The whole load, parse and validation, runs with Python's cyclic
+        garbage collector paused.  That is safe because a load creates no
+        reference cycles, so reference counting frees all of its garbage at
+        once; the pause only keeps allocation-count triggers from sweeping
+        the rule objects the load is still building.  The collector's state
+        on entry is restored on return and on error, and a caller that had
+        turned it off keeps it off.  A ``gc.disable()`` made by another
+        thread while a load runs may be undone when the load ends.
         """
-        n = data["n"]
-        if n != t.n:
-            raise ValueError(f"matrix is for {n} nodes, topology has {t.n}")
-        fw = cls(data["mode"], n)
-        labels = _Memo(FailureLabel.parse)
-        links = _Memo(lambda text: _parse_link(text, t))
-        actions = _Memo(lambda key: _action_from_key(key, labels, links))
+        with _collector_paused():
+            n = data["n"]
+            if n != t.n:
+                raise ValueError(f"matrix is for {n} nodes, topology has {t.n}")
+            fw = cls(data["mode"], n)
+            labels = _Memo(FailureLabel.parse)
+            links = _Memo(lambda text: _parse_link(text, t))
+            actions = _Memo(lambda key: _action_from_key(key, labels, links))
 
-        def action(entry: dict) -> Action:
-            kind = entry["type"]
-            if kind == "group":
-                return GroupRef(entry["id"])
-            return actions[(kind, entry.get("link"), entry.get("label"))]
+            def action(entry: dict) -> Action:
+                kind = entry["type"]
+                if kind == "group":
+                    return GroupRef(entry["id"])
+                return actions[(kind, entry.get("link"), entry.get("label"))]
 
-        tables = fw.tables
-        for entry in data["rules"]:
-            node = entry["node"]
-            if not 0 <= node < n:
-                raise ValueError(f"rule at node {node}, outside 0..{n - 1}")
-            in_link = entry["in_link"]
-            match = Match(labels[entry["label"]], entry["dst"], entry["src"],
-                          None if in_link is None else links[in_link])
-            tables[node][match] = action(entry["action"])
-        for g in data["groups"]:
-            buckets = tuple(
-                Bucket(None if b["watch"] is None else links[b["watch"]], action(b["action"]))
-                for b in g["buckets"]
-            )
-            fw.groups[g["id"]] = GroupEntry(g["id"], g["node"], buckets)
-        fw.uncovered = [UncoveredEntry(*entry) for entry in data.get("uncovered", [])]
-        fw.stats = dict(data.get("stats", {}))
-        fw.validate()
-        return fw
+            tables = fw.tables
+            for entry in data["rules"]:
+                node = entry["node"]
+                if not 0 <= node < n:
+                    raise ValueError(f"rule at node {node}, outside 0..{n - 1}")
+                in_link = entry["in_link"]
+                match = Match(labels[entry["label"]], entry["dst"], entry["src"],
+                              None if in_link is None else links[in_link])
+                tables[node][match] = action(entry["action"])
+            for g in data["groups"]:
+                buckets = tuple(
+                    Bucket(None if b["watch"] is None else links[b["watch"]], action(b["action"]))
+                    for b in g["buckets"]
+                )
+                fw.groups[g["id"]] = GroupEntry(g["id"], g["node"], buckets)
+            fw.uncovered = [UncoveredEntry(*entry) for entry in data.get("uncovered", [])]
+            fw.stats = dict(data.get("stats", {}))
+            fw.validate()
+            return fw
+
+
+class _CollectorPause:
+    """Turns Python's cyclic garbage collector off for a ``with`` block and
+    back on when the block ends or raises."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        gc.enable()
+
+
+# Shared and stateless, so entering and leaving a pause allocates nothing:
+# an allocation just before ``gc.disable()`` or just after ``gc.enable()``
+# could itself set off the collection that the pause is there to avoid.
+_PAUSE = _CollectorPause()
+_NO_PAUSE = nullcontext()
+
+
+def _collector_paused() -> Union[_CollectorPause, nullcontext]:
+    """A pause of the cyclic collector if it is on; if a caller has turned
+    it off, a context that leaves it off."""
+    return _PAUSE if gc.isenabled() else _NO_PAUSE
 
 
 class _Memo(dict):

@@ -113,6 +113,22 @@ def test_simulate_rejects_elements_not_in_topology(tmp_path, capsys):
         assert captured.err.startswith("failover simulate: ")
 
 
+@pytest.mark.parametrize("scenario, reason", [
+    ("link:3-3", "link endpoints must differ"),
+    ("link:1-2-3", "expected link:U-V"),
+    ("link:a-b", "expected link:U-V"),
+    ("node:x", "expected node:V"),
+])
+def test_simulate_names_the_problem_with_a_malformed_scenario(scenario, reason, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["simulate", "--topology", "topo.txt", "--matrix", "matrix.json",
+              "--scenario", scenario, "--src", "0", "--dst", "1"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"failover simulate: error: argument --scenario: "
+                                    f"{reason}, got {scenario!r}")
+
+
 def test_compute_rejects_a_disconnected_topology_for_every_variant(tmp_path, capsys):
     topo = tmp_path / "topo.txt"
     topo.write_text("4\n0 1 1\n2 3 1\n", encoding="utf-8")

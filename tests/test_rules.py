@@ -62,14 +62,20 @@ def _missing_primary(t, data):
     data["rules"].remove(_first_rule(data))
 
 
-@pytest.mark.parametrize("spoil, message", [
+SPOILERS = [
     (_wrong_n, "matrix is for 11 nodes, topology has 10"),
     (_absent_link, "absent from topology"),
     (_unknown_label, "unknown label"),
     (_unknown_action, "unknown action type"),
     (_non_incident_output, "outputs on non-incident"),
     (_missing_primary, "no primary rule at node"),
-])
+]
+
+# Rule fields set to a node outside 0..9, for a matrix of ``stored("disjoint-link")``.
+OUTSIDE_NODES = [("node", -1), ("node", 10), ("dst", 10), ("dst", "1"), ("src", -1)]
+
+
+@pytest.mark.parametrize("spoil, message", SPOILERS)
 def test_invalid_matrix_is_rejected(spoil, message):
     t, _fw, data = stored("hybrid")
     spoil(t, data)
@@ -77,8 +83,7 @@ def test_invalid_matrix_is_rejected(spoil, message):
         ForwardingMatrix.from_json(data, t)
 
 
-@pytest.mark.parametrize("field, value", [("node", -1), ("node", 10), ("dst", 10),
-                                          ("dst", "1"), ("src", -1)])
+@pytest.mark.parametrize("field, value", OUTSIDE_NODES)
 def test_rule_naming_a_node_outside_the_topology_is_rejected(field, value):
     t, _fw, data = stored("disjoint-link")
     _first_rule(data)[field] = value
