@@ -245,6 +245,10 @@ class ExperimentConfig:
         for variant in self.variants:
             if variant not in ALL_VARIANTS:
                 raise ValueError(f"unknown variant {variant!r}")
+        for name, values in (("size", self.sizes), ("variant", self.variants)):
+            repeated = next((x for i, x in enumerate(values) if x in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} {repeated!r} is given more than once")
         for size in self.sizes:
             try:
                 _GENERATORS[self.generator].check_size(size)

@@ -341,6 +341,8 @@ def optimize(fw: ForwardingMatrix, t: Topology) -> ForwardingMatrix:
                     del table[match]
     out.groups = dict(fw.groups)
     out.prune_unreferenced_groups()
+    # The copied rules hold ``fw``'s group references; ``out`` hands out the same.
+    out.group_refs.update((gid, fw.group_refs[gid]) for gid in out.groups)
     out.uncovered = list(fw.uncovered)
     out.stats = dict(fw.stats)
     out.stats["rules_before_optimize"] = fw.rule_count() + fw.skipped_pops

@@ -62,9 +62,13 @@ MODE_DISJOINT_NODE = "disjoint-node"
 _KIND_ORDER = {"primary": 0, "link": 1, "node": 2, "anylink": 3}
 
 
-@dataclass(frozen=True, order=False)
-class FailureLabel:
-    """Tag carried by detoured packets (or a wildcard match form)."""
+class FailureLabel(NamedTuple):
+    """Tag carried by detoured packets (or a wildcard match form).
+
+    A label is a tuple ``(kind, u, v)`` and compares and hashes by value, in
+    C.  Labels order by :meth:`sort_key` (primary, link, node, anylink, then
+    ``u`` and ``v``) under ``<``, ``<=``, ``>`` and ``>=``.
+    """
 
     kind: str  # "primary" | "link" | "node" | "anylink"
     u: int = -1
@@ -75,6 +79,15 @@ class FailureLabel:
 
     def __lt__(self, other: "FailureLabel") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "FailureLabel") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "FailureLabel") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "FailureLabel") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     @property
     def is_primary(self) -> bool:
@@ -138,36 +151,54 @@ class Match(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class Output:
+# Actions are tuples that compare and hash by value, in C.  Each ends in a
+# ``kind`` field with a fixed default, so that two actions of different
+# kinds never compare equal or share a hash: ``Output(link)`` is
+# ``(link, "output")`` and ``PopLabelOutput(link)`` is ``(link, "pop")``.
+
+
+class Output(NamedTuple):
+    """Forward on ``link``, label unchanged."""
+
     link: Link
+    kind: str = "output"
 
 
-@dataclass(frozen=True)
-class PushLabelOutput:
+class PushLabelOutput(NamedTuple):
+    """Push ``label`` onto a primary packet and forward on ``link``."""
+
     label: FailureLabel
     link: Link
+    kind: str = "push"
 
 
-@dataclass(frozen=True)
-class PopLabelOutput:
+class PopLabelOutput(NamedTuple):
+    """Pop the packet's label and forward on ``link``."""
+
     link: Link
+    kind: str = "pop"
 
 
-@dataclass(frozen=True)
-class RewriteLabelOutput:
+class RewriteLabelOutput(NamedTuple):
+    """Replace the packet's label with ``label`` and forward on ``link``."""
+
     label: FailureLabel
     link: Link
+    kind: str = "rewrite"
 
 
-@dataclass(frozen=True)
-class GroupRef:
+class GroupRef(NamedTuple):
+    """Forward through fast-failover group ``group_id``.  A matrix hands out
+    one ``GroupRef`` object per group id (:attr:`ForwardingMatrix.group_refs`)."""
+
     group_id: int
+    kind: str = "group"
 
 
-@dataclass(frozen=True)
-class Drop:
-    pass
+class Drop(NamedTuple):
+    """Discard the packet."""
+
+    kind: str = "drop"
 
 
 Action = Union[Output, PushLabelOutput, PopLabelOutput, RewriteLabelOutput, GroupRef, Drop]
@@ -204,13 +235,20 @@ class UncoveredEntry(NamedTuple):
 
 
 class ForwardingMatrix:
-    """Per-node rule tables plus fast-failover groups."""
+    """Per-node rule tables plus fast-failover groups.
+
+    Every rule that forwards to group ``gid`` holds the one object
+    ``group_refs[gid]``: :meth:`intern_group` and :meth:`from_json` hand out
+    these shared references rather than a new ``GroupRef`` per rule.
+    """
 
     def __init__(self, mode: str, n: int):
         self.mode = mode
         self.n = n
         self.tables: list[dict[Match, Action]] = [dict() for _ in range(n)]
         self.groups: dict[int, GroupEntry] = {}
+        # ``group_refs[gid]`` is made on first use and shared from then on.
+        self.group_refs: dict[int, GroupRef] = _Memo(GroupRef)
         # Built from ``groups`` by the first ``intern_group`` call.
         self._group_index: Optional[dict[tuple[int, tuple[Bucket, ...]], int]] = None
         self.uncovered: list[UncoveredEntry] = []
@@ -242,7 +280,7 @@ class ForwardingMatrix:
             group_id = len(self.groups)
             index[key] = group_id
             self.groups[group_id] = GroupEntry(group_id, node, buckets)
-        return GroupRef(group_id)
+        return self.group_refs[group_id]
 
     def prune_unreferenced_groups(self) -> None:
         used = {
@@ -384,7 +422,8 @@ class ForwardingMatrix:
         Raises ``ValueError`` unless the matrix has ``t``'s node count, names
         only links of ``t``, known labels and action types, and passes
         :meth:`validate`; a missing key raises ``KeyError``.  Each distinct
-        label, link and action is parsed once per load.
+        label, link and action is parsed once per load, and the rules that
+        forward to one group share its ``GroupRef``.
 
         The whole load, parse and validation, runs with Python's cyclic
         garbage collector paused.  That is safe because a load creates no
@@ -403,11 +442,12 @@ class ForwardingMatrix:
             labels = _Memo(FailureLabel.parse)
             links = _Memo(lambda text: _parse_link(text, t))
             actions = _Memo(lambda key: _action_from_key(key, labels, links))
+            group_refs = fw.group_refs
 
             def action(entry: dict) -> Action:
                 kind = entry["type"]
                 if kind == "group":
-                    return GroupRef(entry["id"])
+                    return group_refs[entry["id"]]
                 return actions[(kind, entry.get("link"), entry.get("label"))]
 
             tables = fw.tables

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
     "Link",
@@ -41,25 +41,32 @@ __all__ = [
 DEFAULT_RETRY_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class Link:
-    """Undirected physical link; endpoints normalized so ``u < v``."""
-
+class _LinkFields(NamedTuple):
     u: int
     v: int
     weight: float
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"self-loop at node {self.u}")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-        if not math.isfinite(self.weight):
-            raise ValueError(f"non-finite weight {self.weight} on link {self.u}-{self.v}")
-        if self.weight < 0:
-            raise ValueError(f"negative weight {self.weight} on link {self.u}-{self.v}")
+
+class Link(_LinkFields):
+    """Undirected physical link; endpoints normalized so ``u < v``.
+
+    A link is a tuple ``(u, v, weight)`` and compares and hashes by value,
+    in C.  ``Link(u, v, w)`` raises ``ValueError`` on a self-loop and on a
+    weight that is not finite or is negative.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int, weight: float) -> "Link":
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if u > v:
+            u, v = v, u
+        if not math.isfinite(weight):
+            raise ValueError(f"non-finite weight {weight} on link {u}-{v}")
+        if weight < 0:
+            raise ValueError(f"negative weight {weight} on link {u}-{v}")
+        return tuple.__new__(cls, (u, v, weight))
 
     @property
     def pair(self) -> tuple[int, int]:

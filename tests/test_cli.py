@@ -356,3 +356,16 @@ def test_missing_config_file_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"failover evaluate: {cfg}: No such file or directory\n")
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sizes", "9,9"], "size 9 is given more than once"),
+    (["--sizes", "9", "--variants", "per-link,per-link"],
+     "variant 'per-link' is given more than once"),
+])
+def test_evaluate_rejects_repeated_sizes_and_variants(flags, message, tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    argv = ["evaluate", "--generator", "er", "--runs", "1", "--csv", str(csv_path)] + flags
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"failover evaluate: {message}\n"
+    assert not csv_path.exists()

@@ -15,10 +15,17 @@ import threading
 
 import pytest
 
+from failover.cli import main
 from failover.dataplane import compile_matrix
 from failover.metrics import ALL_VARIANTS, build_variant, measure
 from failover.rules import ForwardingMatrix
-from failover.topology import generate_erdos_renyi, generate_lattice, generate_waxman, unit_weights
+from failover.topology import (
+    generate_erdos_renyi,
+    generate_lattice,
+    generate_waxman,
+    save_topology,
+    unit_weights,
+)
 
 from test_rules import OUTSIDE_NODES, SPOILERS, _first_rule, stored
 
@@ -99,6 +106,36 @@ def test_no_collection_runs_during_a_load(collector):
         ForwardingMatrix.from_json(data, t)
     finally:
         gc.callbacks.remove(count)
+    assert collections == []
+
+
+def test_simulate_parses_and_loads_its_matrix_without_a_collection(collector, tmp_path, capsys):
+    # Counts the collections that start while ``failover simulate`` is inside
+    # ``json.load`` or ``from_json``: the file's parse makes most of the
+    # load's objects, so it must run in the same pause as ``from_json``.
+    t, data = query_sized()
+    topo, matrix = tmp_path / "waxman49.txt", tmp_path / "matrix.json"
+    save_topology(t, topo)
+    matrix.write_text(json.dumps(data))
+    loading = {json.load.__code__, ForwardingMatrix.from_json.__func__.__code__}
+    collector(True)
+    collections = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in loading:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code = main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
+                     "--src", "0", "--dst", "48"])
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0, capsys.readouterr()
+    assert gc.isenabled()
     assert collections == []
 
 

@@ -255,3 +255,23 @@ def test_aggregate_averages_every_float_field():
     rows = [MetricsRow("erdos-renyi", "per-link", 9, *[x] * len(names)) for x in (1.0, 3.0)]
     (agg,) = metrics._aggregate(rows)
     assert {name: getattr(agg, name) for name in names} == dict.fromkeys(names, 2.0)
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"sizes": (9, 9)}, "size 9 is given more than once"),
+    ({"sizes": (9, 16, 9)}, "size 9 is given more than once"),
+    ({"variants": ("per-link", "per-link")}, "variant 'per-link' is given more than once"),
+    ({"variants": ("per-link", "hybrid", "hybrid")}, "variant 'hybrid' is given more than once"),
+])
+def test_rejects_repeated_sizes_and_variants(given, message, monkeypatch):
+    # A repeated value would build and measure every topology again and
+    # count its rows twice; nothing may be generated first.
+    import failover.metrics as metrics
+
+    def unreachable(n, seed):
+        raise AssertionError("generated before the repeat was checked")
+
+    monkeypatch.setitem(metrics._GENERATORS, "er",
+                        metrics._GENERATORS["er"]._replace(make=unreachable))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentConfig(generator="er", runs=1, **given))
