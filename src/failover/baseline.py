@@ -212,7 +212,7 @@ def _second_path(
     if p1[1] not in seeds:
         seeds[p1[1]] = _seed(paths, into, src, p1[1])
     live_dist, live, heap = seeds[p1[1]]
-    _, paths2 = lex_dijkstra(residual, src, (dst,), (dict(live_dist), dict(live), heap[:]))
+    _, paths2 = lex_dijkstra(residual, src, dst, (dict(live_dist), dict(live), heap[:]))
     p2 = paths2.get(dst)
     return None if p2 is None else (p1, p2)
 

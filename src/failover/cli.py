@@ -17,7 +17,7 @@ from .metrics import (
     dumps_report_json,
     run_experiment,
 )
-from .rules import ForwardingMatrix, _collector_paused
+from .rules import ForwardingMatrix
 from .topology import (
     NO_FAILURE,
     FailureScenario,
@@ -130,10 +130,9 @@ def _cmd_simulate(args) -> int:
         print(f"failover simulate: {error}", file=sys.stderr)
         return 2
     try:
-        # The parse makes most of the load's objects, so it runs in the same
-        # collector pause as ``from_json``, which finds the collector off.
-        with open(args.matrix, "r", encoding="utf-8") as fh, _collector_paused():
-            fw = ForwardingMatrix.from_json(json.load(fh), t)
+        with open(args.matrix, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        fw = ForwardingMatrix.loads(text, t)
     except OSError as exc:
         print(f"failover simulate: {args.matrix}: {exc.strerror or exc}", file=sys.stderr)
         return 2

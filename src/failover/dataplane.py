@@ -14,6 +14,8 @@ Rule lookup order at a node, most to least specific:
    ``LinkFail(x, v)`` or ``NodeFail(v)``;
 4. ``(Primary, dst)``.
 
+Tiers 3 and 4 are the label's :meth:`~failover.rules.FailureLabel.fallbacks`.
+
 A trace ends delivered, dropped (explicit drop, no matching rule, or the
 selected output link is dead; packets never traverse dead links), or
 loop-detected when the ``(node, label, incoming link)`` state repeats.
@@ -128,12 +130,8 @@ def _lookup(fw: ForwardingMatrix, node: int, label: FailureLabel, dst: int,
     action = table.get(Match(label, dst))
     if action is not None:
         return action
-    if label.kind in ("link", "node"):
-        action = table.get(Match(FailureLabel("anylink", -1, label.v), dst))
-        if action is not None:
-            return action
-    if not label.is_primary:
-        action = table.get(Match(PRIMARY, dst))
+    for fallback in label.fallbacks():
+        action = table.get(Match(fallback, dst))
         if action is not None:
             return action
     return None
@@ -291,32 +289,19 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     link_ids: dict[Link, int] = {}
     pair_ids: dict[tuple[int, int], int] = {}
     link_pairs: list[int] = []
-    # Rules share a few label and link objects.  Looking them up by identity
-    # first hashes each frozen dataclass once per object, not once per use;
-    # ``held`` keeps every object looked up alive, so no id is reused.
-    ids_by_object: dict[int, int] = {}
-    held: list[object] = []
 
     def label_id(label: FailureLabel) -> int:
-        lid = ids_by_object.get(id(label))
+        lid = label_ids.get(label)
         if lid is None:
-            lid = label_ids.get(label)
-            if lid is None:
-                lid = label_ids[label] = len(labels)
-                labels.append(label)
-            ids_by_object[id(label)] = lid
-            held.append(label)
+            lid = label_ids[label] = len(labels)
+            labels.append(label)
         return lid
 
     def link_id(link: Link) -> int:
-        lid = ids_by_object.get(id(link))
+        lid = link_ids.get(link)
         if lid is None:
-            lid = link_ids.get(link)
-            if lid is None:
-                lid = link_ids[link] = len(link_pairs)
-                link_pairs.append(pair_ids.setdefault(link.pair, len(pair_ids)))
-            ids_by_object[id(link)] = lid
-            held.append(link)
+            lid = link_ids[link] = len(link_pairs)
+            link_pairs.append(pair_ids.setdefault(link.pair, len(pair_ids)))
         return lid
 
     for link in t.links:
@@ -406,16 +391,8 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
         tables.append(compiled_table)
         keyed.append(node_keyed)
 
-    fallbacks = []
-    for label in labels:
-        tiers = []
-        if label.kind in ("link", "node"):
-            wildcard = label_ids.get(FailureLabel("anylink", -1, label.v))
-            if wildcard is not None:
-                tiers.append(wildcard)
-        if not label.is_primary:
-            tiers.append(0)
-        fallbacks.append(tuple(tiers))
+    fallbacks = [tuple(label_ids[tier] for tier in label.fallbacks() if tier in label_ids)
+                 for label in labels]
     return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in)
 
 

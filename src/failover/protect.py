@@ -67,7 +67,7 @@ from .rules import (
     node_fail,
     rule_conflict,
 )
-from .spf import ShortestPathTree, SpCounter, primary_matrix, shortest_tree
+from .spf import ShortestPathTree, primary_matrix, shortest_tree
 # Unused here; bound so that perfbench/tracing.py finds them by these names.
 from .spf import all_shortest_trees, primary_matrix_from_trees  # noqa: F401
 from .topology import FailureScenario, Link, Topology, check_positive_weights
@@ -123,21 +123,20 @@ def hybrid_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
 
 def _build(t: Topology, mode: str, install_pops: bool) -> ForwardingMatrix:
     check_positive_weights(t)
-    counter = SpCounter()
     trees = t.shortest_paths().trees
-    counter.count += len(trees)
     fw, affected = primary_matrix(t, mode)
     skipped = None if install_pops else [set() for _ in range(t.n)]
     ctx = _Build(t, trees, fw, affected, skipped)
+    # The |N| trees read, computed or shared, plus every detour tree built.
     if mode == MODE_PER_LINK:
-        _install_family(ctx, _LINK, counter, hybrid=False)
+        detours = _install_family(ctx, _LINK, hybrid=False)
     elif mode == MODE_PER_NODE:
-        _install_family(ctx, _NODE, counter, hybrid=False)
+        detours = _install_family(ctx, _NODE, hybrid=False)
     else:
-        _install_family(ctx, _LINK, counter, hybrid=True)
-        _install_family(ctx, _NODE, counter, hybrid=True)
+        detours = _install_family(ctx, _LINK, hybrid=True)
+        detours += _install_family(ctx, _NODE, hybrid=True)
         _install_upgrade_groups(ctx)
-    fw.stats["sp_invocations"] = counter.count
+    fw.stats["sp_invocations"] = len(trees) + detours
     if skipped is not None:
         fw.skipped_pops = sum(map(len, skipped)) + ctx.skipped_link_pops
     return fw
@@ -164,8 +163,10 @@ def _pop_allowed(
     return opposite not in primary_path
 
 
-def _install_family(ctx: _Build, family: str, counter: SpCounter, hybrid: bool) -> None:
+def _install_family(ctx: _Build, family: str, hybrid: bool) -> int:
+    """Installs one family's rules; returns the number of detour trees built."""
     t, fw = ctx.t, ctx.fw
+    detours = 0
     for n in t.nodes:
         for m, _w, link in t.neighbors(n):
             if family == _LINK:
@@ -182,7 +183,8 @@ def _install_family(ctx: _Build, family: str, counter: SpCounter, hybrid: bool) 
                 targets |= ctx.upgrade_targets.get((n, m), set())
             # One detour computation per outgoing arc, affected set or not:
             # the complexity budget is exactly |N| + 2·|links| invocations.
-            tree = shortest_tree(t, n, scenario, counter=counter, primary=ctx.trees[n])
+            tree = shortest_tree(t, n, scenario, primary=ctx.trees[n])
+            detours += 1
             first_hops: dict[int, Optional[Link]] = {}
             for d in sorted(targets):
                 if family == _NODE and d == m:
@@ -194,7 +196,7 @@ def _install_family(ctx: _Build, family: str, counter: SpCounter, hybrid: bool) 
                 else:
                     detour = None
                     reason = "no_detour"
-                first_hops[d] = None if detour is None else tree.next_link[d]
+                first_hops[d] = None if detour is None else t.link_between(n, detour[1])
                 owns_group = d in base_targets and not (hybrid and family == _NODE)
                 if owns_group:
                     bucket1 = Bucket(link, Output(link))
@@ -214,6 +216,7 @@ def _install_family(ctx: _Build, family: str, counter: SpCounter, hybrid: bool) 
                 _install_detour_rules(ctx, family, hybrid, label, match_label, link, m, d, detour)
             if family == _NODE:
                 ctx.node_first_hop[(n, m)] = first_hops
+    return detours
 
 
 def _install_detour_rules(
@@ -234,6 +237,7 @@ def _install_detour_rules(
     end = len(detour) - 1
     for idx in range(1, end):
         w_node = detour[idx]
+        out = t.link_between(w_node, detour[idx + 1])
         if _pop_allowed(ctx, w_node, d, family, failed, opposite, hybrid):
             if lean and _rejoins(trees, detour, idx, d):
                 # The rest of the detour is each of its nodes' primary path,
@@ -242,16 +246,14 @@ def _install_detour_rules(
                 return
             # The detour provably coincides with this node's primary path
             # from here on, so popping hands the packet back unchanged.
-            prim_next = trees[w_node].next_link[d]
-            assert prim_next == t.link_between(w_node, detour[idx + 1]), (
+            assert trees[w_node].paths[d][1] == detour[idx + 1], (
                 "detour must rejoin the primary path at the pop point"
             )
             if lean:
                 _skip_pops(ctx, family, (w_node,), match)
             else:
-                fw.add_rule(w_node, match, PopLabelOutput(prim_next))
+                fw.add_rule(w_node, match, PopLabelOutput(out))
             continue
-        out = t.link_between(w_node, detour[idx + 1])
         if shared is not None and match in shared[w_node]:
             raise rule_conflict(w_node, match, _pop_of(ctx, w_node, d), Output(out))
         fw.add_rule(w_node, match, Output(out))
@@ -270,7 +272,7 @@ def _rejoins(trees: list[ShortestPathTree], detour: tuple[int, ...], idx: int, d
 
 def _pop_of(ctx: _Build, node: int, d: int) -> PopLabelOutput:
     """The pop rule the full build installs at ``node`` toward ``d``."""
-    return PopLabelOutput(ctx.trees[node].next_link[d])
+    return PopLabelOutput(ctx.t.link_between(node, ctx.trees[node].paths[d][1]))
 
 
 def _skip_pops(ctx: _Build, family: str, nodes: tuple[int, ...], match: Match) -> None:

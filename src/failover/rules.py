@@ -19,6 +19,7 @@ Label semantics:
 from __future__ import annotations
 
 import gc
+import json
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -92,6 +93,17 @@ class FailureLabel(NamedTuple):
     @property
     def is_primary(self) -> bool:
         return self.kind == "primary"
+
+    def fallbacks(self) -> tuple["FailureLabel", ...]:
+        """The labels whose rules a packet carrying this one matches, in
+        order, where a node has no rule for this label itself: a link or
+        node label's ``AnyLinkFailTo`` wildcard, then ``PRIMARY`` for every
+        label but ``PRIMARY``."""
+        if self.kind == "primary":
+            return ()
+        if self.kind in ("link", "node"):
+            return (any_link_fail_to(self.v), PRIMARY)
+        return (PRIMARY,)
 
     def __str__(self) -> str:
         if self.kind == "primary":
@@ -469,6 +481,15 @@ class ForwardingMatrix:
             fw.stats = dict(data.get("stats", {}))
             fw.validate()
             return fw
+
+    @classmethod
+    def loads(cls, text: str, t: Topology) -> "ForwardingMatrix":
+        """:meth:`from_json` of the JSON document ``text``.  The parse makes
+        most of a load's objects, so it runs in the same collector pause as
+        :meth:`from_json`.  Raises what ``json.loads`` and :meth:`from_json`
+        raise."""
+        with _collector_paused():
+            return cls.from_json(json.loads(text), t)
 
 
 class _CollectorPause:

@@ -66,7 +66,6 @@ from .rules import MODE_SHORTEST, Match, Output, PRIMARY, ForwardingMatrix
 from .topology import NO_FAILURE, FailureScenario, Link, Topology
 
 __all__ = [
-    "SpCounter",
     "ShortestPathTree",
     "ShortestPaths",
     "AffectedSets",
@@ -87,34 +86,18 @@ class DisconnectedTopologyError(ValueError):
     pass
 
 
-class SpCounter:
-    """Counts one-to-many shortest-path invocations (complexity budget).
-    A build counts the |N| primary trees it reads, whether it computed them
-    or took them from the topology's :class:`ShortestPaths`."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
 class ShortestPathTree:
-    """Single-source result: exact distances, preferred paths, first links.
-    Nodes the source cannot reach are absent."""
+    """Single-source result: exact distances and preferred paths.  Nodes the
+    source cannot reach are absent."""
 
-    __slots__ = ("source", "dist", "paths", "next_link")
+    __slots__ = ("source", "dist", "paths")
 
     def __init__(
-        self,
-        source: int,
-        dist: dict[int, float],
-        paths: dict[int, tuple[int, ...]],
-        next_link: dict[int, Link],
+        self, source: int, dist: dict[int, float], paths: dict[int, tuple[int, ...]]
     ):
         self.source = source
         self.dist = dist
         self.paths = paths
-        self.next_link = next_link
 
 
 def shortest_tree(
@@ -122,7 +105,6 @@ def shortest_tree(
     src: int,
     excluded: FailureScenario = NO_FAILURE,
     *,
-    counter: Optional[SpCounter] = None,
     primary: Optional[ShortestPathTree] = None,
 ) -> ShortestPathTree:
     """Dijkstra from ``src`` over ``t`` minus ``excluded``.
@@ -132,21 +114,11 @@ def shortest_tree(
     computed here when not given.  The result does not depend on it, and is
     ``primary`` itself when the tree does not use the failed element.
     """
-    if counter is not None:
-        counter.count += 1
     if excluded.kind == "none":
-        return _tree(t, src, *lex_dijkstra(t.neighbors, src))
+        return ShortestPathTree(src, *lex_dijkstra(t.neighbors, src))
     if primary is None:
-        primary = _tree(t, src, *lex_dijkstra(t.neighbors, src))
+        primary = ShortestPathTree(src, *lex_dijkstra(t.neighbors, src))
     return _detour_tree(t, src, excluded, primary)
-
-
-def _tree(
-    t: Topology, src: int, dist: dict[int, float], paths: dict[int, tuple[int, ...]]
-) -> ShortestPathTree:
-    hop = {nb: link for nb, _w, link in t.neighbors(src)}
-    next_link = {dst: hop[path[1]] for dst, path in paths.items() if dst != src}
-    return ShortestPathTree(src, dist, paths, next_link)
 
 
 def _detour_tree(
@@ -177,7 +149,7 @@ def _detour_tree(
         if failed is not None:
             for u, _w, _l in t.neighbors(failed):
                 adj[u] = tuple(arc for arc in adj[u] if arc[0] != failed)
-        return _tree(t, src, *lex_dijkstra(adj.__getitem__, src))
+        return ShortestPathTree(src, *lex_dijkstra(adj.__getitem__, src))
 
     if top == src:
         return unseeded()
@@ -206,14 +178,7 @@ def _detour_tree(
     for y, x, w in risky:
         if y in dist and dist[y] + w == pdist[x] and paths[y] + (x,) < ppaths[x]:
             return unseeded()
-    next_link = dict(primary.next_link)
-    hop = {nb: link for nb, _w, link in t.neighbors(src)}
-    for x in dead:
-        if x in paths:
-            next_link[x] = hop[paths[x][1]]
-        else:
-            del next_link[x]
-    return ShortestPathTree(src, dist, paths, next_link)
+    return ShortestPathTree(src, dist, paths)
 
 
 def all_shortest_trees(t: Topology) -> list[ShortestPathTree]:
@@ -259,11 +224,12 @@ def primary_matrix_from_trees(
     fw = ForwardingMatrix(MODE_SHORTEST, t.n)
     affected: AffectedSets = {}
     for src in t.nodes:
-        tree = trees[src]
+        paths = trees[src].paths
+        hop = {nb: link for nb, _w, link in t.neighbors(src)}
         for dst in t.nodes:
             if dst == src:
                 continue
-            link = tree.next_link[dst]
+            link = hop[paths[dst][1]]
             fw.add_rule(src, Match(PRIMARY, dst), Output(link))
             affected.setdefault((src, link), set()).add(dst)
     return fw, affected
@@ -292,22 +258,22 @@ def split_tree(t: Topology, s: int) -> tuple[dict[int, float], dict[int, tuple[i
 def lex_dijkstra(
     arcs_of: Callable[[int], Iterable[tuple]],
     src: int,
-    targets: Optional[Iterable[int]] = None,
+    stop: Optional[int] = None,
     seed: Optional[tuple[dict, dict, list]] = None,
 ) -> tuple[dict[int, float], dict[int, tuple[int, ...]]]:
     """Tie-broken Dijkstra over an arbitrary non-negative arc function.
 
     ``arcs_of(u)`` yields ``(v, weight, ...)`` tuples; items after the
-    weight are ignored.  If ``targets`` is given the search stops once every
-    target is settled; the nodes it did settle carry the unrestricted run's
+    weight are ignored.  If ``stop`` is given the search ends as soon as
+    that one node is settled, or when the heap runs out if it is
+    unreachable; the nodes it did settle carry the unrestricted run's
     results.
 
     A ``seed`` ``(dist, paths, heap)`` starts the search part-way: nodes
     already settled, and a heap of ``(distance, path)`` keys for the rest,
     in place of ``src``.  The search fills ``dist`` and ``paths`` in place;
-    ``targets`` must not be settled already.
+    ``stop`` must not be settled already.
     """
-    want = None if targets is None else set(targets)
     if seed is None:
         dist: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
@@ -321,10 +287,8 @@ def lex_dijkstra(
             continue
         dist[node] = d
         paths[node] = path
-        if want is not None:
-            want.discard(node)
-            if not want:
-                break
+        if node == stop:
+            break
         for arc in arcs_of(node):
             nb = arc[0]
             if nb not in dist:

@@ -414,17 +414,14 @@ def loads_topology(text: str) -> Topology:
             raise TopologyFormatError(line_no, f"expected 'u v weight', got {line!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise TopologyFormatError(line_no, f"node id out of range [0,{n})")
-        if u == v:
-            raise TopologyFormatError(line_no, f"self-loop at node {u}")
-        if not math.isfinite(w):
-            raise TopologyFormatError(line_no, f"non-finite weight {w}")
-        if w < 0:
-            raise TopologyFormatError(line_no, f"negative weight {w}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen:
-            raise TopologyFormatError(line_no, f"duplicate link {pair[0]}-{pair[1]}")
-        seen.add(pair)
-        links.append(Link(u, v, w))
+        try:
+            link = Link(u, v, w)
+        except ValueError as exc:
+            raise TopologyFormatError(line_no, str(exc))
+        if link.pair in seen:
+            raise TopologyFormatError(line_no, f"duplicate link {link.u}-{link.v}")
+        seen.add(link.pair)
+        links.append(link)
     if n is None:
         raise TopologyFormatError(1, "empty file: missing node count")
     return Topology(n, links)

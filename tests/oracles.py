@@ -59,14 +59,7 @@ def unseeded_tree(
     """The reference for ``shortest_tree``: one plain Dijkstra from ``src``
     over the view of ``t`` minus ``excluded``, with nothing taken from
     another tree."""
-    dist, paths = lex_dijkstra(AdjacencyView(t, excluded).neighbors, src)
-    next_link: dict[int, Link] = {}
-    for dst, path in paths.items():
-        if dst != src:
-            link = t.link_between(src, path[1])
-            assert link is not None
-            next_link[dst] = link
-    return ShortestPathTree(src, dist, paths, next_link)
+    return ShortestPathTree(src, *lex_dijkstra(AdjacencyView(t, excluded).neighbors, src))
 
 
 def all_to_all(t: Topology) -> tuple[ForwardingMatrix, AffectedSets]:
@@ -219,7 +212,7 @@ def unseeded_second_path(
         if prev is not None:
             lst.append((prev, 0.0))
         residual[u] = lst
-    _, paths2 = lex_dijkstra(residual.__getitem__, src, (dst,))
+    _, paths2 = lex_dijkstra(residual.__getitem__, src, dst)
     p2 = paths2.get(dst)
     return None if p2 is None else (p1, p2)
 

@@ -111,13 +111,15 @@ def test_no_collection_runs_during_a_load(collector):
 
 def test_simulate_parses_and_loads_its_matrix_without_a_collection(collector, tmp_path, capsys):
     # Counts the collections that start while ``failover simulate`` is inside
-    # ``json.load`` or ``from_json``: the file's parse makes most of the
-    # load's objects, so it must run in the same pause as ``from_json``.
+    # ``json.load``, ``ForwardingMatrix.loads`` or ``from_json``: the file's
+    # parse makes most of the load's objects, so it must run in the same
+    # pause as ``from_json``.
     t, data = query_sized()
     topo, matrix = tmp_path / "waxman49.txt", tmp_path / "matrix.json"
     save_topology(t, topo)
     matrix.write_text(json.dumps(data))
-    loading = {json.load.__code__, ForwardingMatrix.from_json.__func__.__code__}
+    loading = {json.load.__code__, ForwardingMatrix.loads.__func__.__code__,
+               ForwardingMatrix.from_json.__func__.__code__}
     collector(True)
     collections = []
 

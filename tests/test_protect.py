@@ -446,6 +446,30 @@ def test_build_without_pops_on_random_tied_graphs(t):
             assert json.loads(text)["stats"]["sp_invocations"] == t.n + 2 * families * len(t.links)
 
 
+@pytest.mark.parametrize("build", PROTECTION_BUILDS)
+@pytest.mark.parametrize("install_pops", [True, False])
+def test_sp_invocations_counts_the_trees_read_and_the_detour_trees_built(
+    build, install_pops, corpus, monkeypatch
+):
+    # Every detour tree a build asks for is one call of shortest_tree; the
+    # n primary trees it reads come from the shared context.
+    import failover.protect as protect
+
+    real = protect.shortest_tree
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protect, "shortest_tree", counting)
+    for name, t in corpus:
+        calls[0] = 0
+        fw = build(t, install_pops=install_pops)
+        assert calls[0] > 0, name
+        assert fw.stats["sp_invocations"] == t.n + calls[0], name
+
+
 @pytest.mark.parametrize("build", [per_node_rules, hybrid_rules])
 @pytest.mark.parametrize("outputs_first", [True, False])
 def test_a_left_out_pop_still_conflicts(build, outputs_first, monkeypatch):

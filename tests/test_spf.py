@@ -18,7 +18,6 @@ from failover.metrics import ALL_VARIANTS, build_variant, measure
 from failover.rules import Output, PRIMARY
 from failover.spf import (
     DisconnectedTopologyError,
-    SpCounter,
     all_shortest_trees,
     lex_dijkstra,
     primary_matrix_from_trees,
@@ -54,7 +53,6 @@ class TestShortestTree:
     def test_square_tie_break_prefers_low_next_hop(self, unit_square):
         tree = shortest_tree(unit_square, 0)
         assert tree.dist[2] == 2.0
-        assert tree.next_link[2] == Link(0, 1, 1.0)
         assert tree.paths[2] == (0, 1, 2)
 
     def test_cut_leaves_unreachable_nodes_out_of_dist(self):
@@ -71,47 +69,47 @@ class TestShortestTree:
 
     def test_unreachable_targets_reported_not_raised(self):
         # On the path 0-1-2 the cut 0-1 leaves only the source: the whole
-        # tree and the Dijkstra core's search for target 2 both leave 2 out.
+        # tree and the Dijkstra core's search stopping at 2 both leave 2 out.
         t, cut = path3(), FailureScenario.link_down(0, 1)
         tree = shortest_tree(t, 0, cut)
-        assert tree.paths == {0: (0,)} and tree.next_link == {}
-        dist, paths = lex_dijkstra(AdjacencyView(t, cut).neighbors, 0, {2})
+        assert tree.paths == {0: (0,)} and tree.dist == {0: 0.0}
+        dist, paths = lex_dijkstra(AdjacencyView(t, cut).neighbors, 0, 2)
         assert 2 not in dist and paths == {0: (0,)}
 
     def test_early_stop_reports_only_unreached_targets(self):
         # Two unit triangles joined by the bridge 2-3, which fails; the
-        # Dijkstra core's targets stop, as the disjoint baselines use it.
+        # Dijkstra core's stop node, as the disjoint baselines use it.
         t = Topology(6, [Link(u, v, 1.0) for u, v in
                          ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5))])
         cut = FailureScenario.link_down(2, 3)
         arcs_of = AdjacencyView(t, cut).neighbors
         full = shortest_tree(t, 0, cut)
-        dist, paths = lex_dijkstra(arcs_of, 0, {0, 1, 4, 5})
-        assert {0, 1, 4, 5} - dist.keys() == {4, 5}
+        # An unreachable stop runs the whole search and is left out.
+        dist, paths = lex_dijkstra(arcs_of, 0, 4)
+        assert 4 not in dist and 5 not in dist
         assert paths == full.paths and dist == full.dist
         # Stopped once node 1 settled: node 2 is left unsettled.
-        dist, paths = lex_dijkstra(arcs_of, 0, {1})
+        dist, paths = lex_dijkstra(arcs_of, 0, 1)
         assert paths == {0: (0,), 1: (0, 1)}
 
     def test_early_stop_returns_same_distances(self):
-        # The Dijkstra core's targets, with which the disjoint baselines stop
-        # each second search at its destination.
+        # The Dijkstra core's stop node, with which the disjoint baselines
+        # end each second search at its destination.
         t = generate_erdos_renyi(16, 5)
         full = shortest_tree(t, 0)
-        for targets in ({3}, {5, 9}, {1, 2, 15}):
-            dist, paths = lex_dijkstra(t.neighbors, 0, targets)
-            for d in targets:
-                assert dist[d] == full.dist[d]
-                assert paths[d] == full.paths[d]
+        for stop in (3, 9, 15):
+            dist, paths = lex_dijkstra(t.neighbors, 0, stop)
+            assert dist[stop] == full.dist[stop]
+            assert paths[stop] == full.paths[stop]
+            assert all(paths[x] == full.paths[x] for x in paths)
 
-    def test_counter_increments_once_per_call(self):
-        counter = SpCounter()
+    def test_primary_is_keyword_only(self):
         t = triangle()
-        shortest_tree(t, 0, counter=counter)
-        shortest_tree(t, 1, FailureScenario.link_down(1, 2), counter=counter)
-        assert counter.count == 2
+        primary = shortest_tree(t, 0)
+        cut = FailureScenario.link_down(0, 2)
+        assert shortest_tree(t, 0, cut, primary=primary).paths[2] == (0, 1, 2)
         with pytest.raises(TypeError):
-            shortest_tree(t, 0, FailureScenario.link_down(1, 2), counter)
+            shortest_tree(t, 0, cut, primary)
 
     def test_matches_enumeration_oracle(self, corpus):
         for name, t in corpus[:9] + corpus[9:14]:  # named graphs + a few ER
@@ -276,7 +274,7 @@ def test_weighted_square_tree(unit_square):
 
 
 def tree_fields(tree):
-    return tree.dist, tree.paths, tree.next_link
+    return tree.dist, tree.paths
 
 
 def assert_seeded_equals_unseeded(t: Topology) -> None:

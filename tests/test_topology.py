@@ -240,6 +240,11 @@ class TestEdgeListFormat:
             loads_topology(text)
         assert exc.value.line_no == line_no
 
+    def test_link_errors_carry_the_link_message(self):
+        with pytest.raises(TopologyFormatError) as exc:
+            loads_topology("3\n1 0 -1.0\n")
+        assert str(exc.value) == "line 2: negative weight -1.0 on link 0-1"
+
     def test_empty_file(self):
         with pytest.raises(TopologyFormatError):
             loads_topology("")
