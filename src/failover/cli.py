@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -22,8 +23,8 @@ from .topology import (
     NO_FAILURE,
     FailureScenario,
     Topology,
+    dumps_topology,
     load_topology,
-    save_topology,
     unit_weights,
 )
 
@@ -75,13 +76,39 @@ def _simulate_input_error(t: Topology, args) -> Optional[str]:
     return None
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or None.  Leaves an existing file as
+    it was and no new file behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    if not existed:
+        os.remove(path)
+    return None
+
+
+def _write_output(command: str, path: str, text: str) -> bool:
+    """Write ``text`` to ``path``, or return False after printing why it
+    could not be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"failover {command}: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_generate(args) -> int:
     try:
         t = _GENERATORS[args.kind].make(args.nodes, args.seed)
     except ValueError as exc:
         print(f"failover generate: {exc}", file=sys.stderr)
         return 2
-    save_topology(t, args.out)
+    if not _write_output("generate", args.out, dumps_topology(t)):
+        return 2
     print(f"wrote {args.out}: {t.n} nodes, {len(t.links)} links")
     return 0
 
@@ -105,6 +132,10 @@ def _cmd_compute(args) -> int:
     t = _load_topology_arg(args, "compute")
     if t is None:
         return 2
+    problem = _unwritable(args.out)
+    if problem is not None:
+        print(f"failover compute: {args.out}: {problem}", file=sys.stderr)
+        return 2
     try:
         fw = build_variant(t, args.variant, optimized=not args.no_optimize)
     except ValueError as exc:
@@ -112,8 +143,8 @@ def _cmd_compute(args) -> int:
         return 2
     # json.dumps without indent uses the C encoder; json.dump never does.
     text = json.dumps(fw.to_json(), sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    if not _write_output("compute", args.out, text + "\n"):
+        return 2
     print(
         f"wrote {args.out}: {fw.rule_count()} rules, "
         f"{fw.distinct_group_count()} groups, {len(fw.uncovered)} uncovered"
@@ -206,15 +237,23 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         print(f"failover evaluate: {exc}", file=sys.stderr)
         return 2
+    # A run can take hours: find an output it cannot write before it starts.
+    for path in filter(None, (args.csv, args.json)):
+        problem = _unwritable(path)
+        if problem is not None:
+            print(f"failover evaluate: {path}: {problem}", file=sys.stderr)
+            return 2
     report = run_experiment(config)
     csv_text = report.to_csv()
     if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
+        if not _write_output("evaluate", args.csv, csv_text):
+            return 2
         print(f"wrote {args.csv}")
     else:
         sys.stdout.write(csv_text)
     if args.json:
-        Path(args.json).write_text(dumps_report_json(report), encoding="utf-8")
+        if not _write_output("evaluate", args.json, dumps_report_json(report)):
+            return 2
         print(f"wrote {args.json}")
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)

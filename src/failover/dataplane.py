@@ -27,26 +27,32 @@ fault.
 
 ``simulate`` walks either matrix form.  On a :class:`ForwardingMatrix` it is
 the reference walk over ``Match`` keys, used for single packets.  On a
-:class:`CompiledMatrix` (see :func:`compile_matrix`) it runs one int-keyed
-walk that probes the same tiers in the same order and returns the same
-trace; ``metrics.measure`` compiles each matrix once per call and walks
-every trace of that call through it.  Only nodes with rules keyed on source
-or incoming link (the disjoint baselines) get the first-tier probes.
+:class:`CompiledMatrix` (see :func:`compile_matrix`) it runs :func:`walk`,
+one int-keyed walk that probes the same tiers in the same order, and builds
+the same trace from the compiled forward action of each hop the walk took:
+the label from the action's new label, the node from the link's endpoints.
+Only nodes with rules keyed on source or incoming link (the disjoint
+baselines) get the first-tier probes.  ``metrics.measure`` compiles each
+matrix once per call.  It traces every pair's no-failure path with
+``simulate`` and calls :func:`walk` for every failure on that path, since it
+reads only a failure walk's outcome, total and crankback: no ``Trace`` or
+``TraceStep`` is built for those.
 
 When no rule of a compiled matrix keys on source or incoming link (every
 protection matrix), the next hop under one scenario toward one destination
 depends only on ``(node, label)``.  The compiled walk then remembers, per
-scenario, the rest of every delivered or dropped walk from each state it
-passed, and a later walk that reaches such a state splices that suffix in
-instead of walking it.  A terminating suffix never revisits a state, so the
-spliced trace is the one the reference walk takes.  The memo covers one
-destination at a time (it is dropped when a call names another), so callers
-that walk destination by destination, as ``metrics.measure`` does, reuse it
-most.  A matrix with keyed rules is walked in full and keeps no memo.
+scenario, the hops of every delivered or dropped walk and the position of
+each state it passed, and a later walk that reaches such a state splices
+that suffix in instead of walking it.  A terminating suffix never revisits a
+state, so the spliced walk is the one the reference walk takes.  The memo
+covers one destination at a time (it is dropped when a call names another),
+so callers that walk destination by destination, as ``metrics.measure``
+does, reuse it most.  A matrix with keyed rules is walked in full and keeps
+no memo.
 
-Totals are summed left to right as the reference walk sums them.  Crankback
-is counted after the walk, over the hops' int arc ids and weights, and only
-when a link is traversed twice; otherwise it is 0.0.
+Totals are summed left to right as the reference walk sums them, a spliced
+suffix too.  Crankback is counted after the walk, over the hops' int arc ids
+and weights, and only when a link is traversed twice; otherwise it is 0.0.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .rules import (
@@ -72,7 +78,9 @@ from .rules import (
 )
 from .topology import FailureScenario, Link, Topology
 
-__all__ = ["TraceStep", "Trace", "CompiledMatrix", "compile_matrix", "simulate", "crankback_of"]
+__all__ = [
+    "TraceStep", "Trace", "CompiledMatrix", "compile_matrix", "simulate", "walk", "crankback_of",
+]
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -161,7 +169,20 @@ def simulate(
         kind = scenario.kind
         dead_pair = fw.pair_ids.get((scenario.u, scenario.v), -1) if kind == "link" else -1
         dead_node = scenario.v if kind == "node" else None
-        return _walk(fw, trace, dead_pair, dead_node)
+        trace.outcome, trace.reason, trace.total_weight, trace.crankback_weight, hops = walk(
+            fw, src, dst, dead_pair, dead_node)
+        # Each hop's label is the one its action leaves, its node the end of
+        # the link the hop before it arrived at.
+        labels, steps = fw.labels, trace.steps
+        node, label = src, 0
+        for _, new_label, link, weight, _, _, u, v in hops:
+            if new_label >= 0:
+                label = new_label
+            steps.append(TraceStep(node, labels[label], link, weight))
+            node = u if node == v else v
+        if trace.delivered:
+            steps.append(TraceStep(node, labels[label], None, 0.0))
+        return trace
     node = src
     label = PRIMARY
     in_link: Optional[Link] = None
@@ -226,6 +247,7 @@ def simulate(
 #    compiled action), watch_pair_id None for a bucket that watches nothing
 #   (_DROP, reason)
 _FORWARD, _GROUP, _DROP = range(3)
+_weight_of = itemgetter(3)
 
 
 class CompiledMatrix:
@@ -242,8 +264,8 @@ class CompiledMatrix:
     Built by :func:`compile_matrix` as a snapshot: it holds no reference to
     the matrix, and a matrix changed later has to be compiled again.
 
-    Every compiled matrix is walked by the same function.  ``memo`` holds
-    the walks toward one destination (see the module docstring); that walk
+    Every compiled matrix is walked by :func:`walk`.  ``memo`` holds the
+    walks toward one destination (see the module docstring); the walk
     reads and fills it only when ``memoizable``, that is when no node is
     keyed, and otherwise leaves it empty.  It is replaced as a whole, so a
     walk that started with it keeps a memo of its own destination even if
@@ -263,8 +285,10 @@ class CompiledMatrix:
         self.n_in = n_in  # number of link ids plus one
         self.memoizable = not any(keyed)
         # (dst, {(dead_pair, dead_node): {node * n_labels + label: (walk,
-        # index)}}), walk = (steps, weights, pair ids, outcome, reason) of a
-        # whole trace and index the position of that state in it.
+        # index)}}), walk = (hops, pair ids, outcome, reason) of one whole
+        # walk, hops its compiled forward actions, and index the position of
+        # that state in it.  No trace step is kept: ``simulate`` rebuilds its
+        # steps from the hops.
         self.memo: tuple[Optional[int], dict] = (None, {})
 
 
@@ -396,14 +420,17 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in)
 
 
-def _walk(cm: CompiledMatrix, trace: Trace, dead_pair: int,
-          dead_node: Optional[int]) -> Trace:
+def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
+         dead_node: Optional[int]) -> tuple[str, str, float, float, list[tuple]]:
     """The reference walk of :func:`simulate` over a compiled matrix, with
-    liveness tested on ints.  The scenario kills the links of pair id
-    ``dead_pair`` (-1 for none) and every link at ``dead_node``.  On a
+    liveness tested on ints: ``(outcome, reason, total, crankback, hops)``.
+
+    The failure kills the links of pair id ``dead_pair`` (-1 for none) and
+    every link at ``dead_node`` (None for none); ``src`` must be alive.
+    ``hops`` holds the compiled forward action of each hop taken, in order;
+    the caller must not change it, since the memo may share it.  On a
     memoizable matrix the walk stops at the first state with a remembered
     suffix and splices it in."""
-    src, dst = trace.src, trace.dst
     memo = None
     if cm.memoizable:
         memo_dst, by_scenario = cm.memo
@@ -413,20 +440,20 @@ def _walk(cm: CompiledMatrix, trace: Trace, dead_pair: int,
         memo = by_scenario.get((dead_pair, dead_node))
         if memo is None:
             memo = by_scenario[dead_pair, dead_node] = {}
-    tables, keyed, labels, fallbacks = cm.tables, cm.keyed, cm.labels, cm.fallbacks
+    tables, keyed, fallbacks = cm.tables, cm.keyed, cm.fallbacks
     n_nodes, n_in = cm.n_nodes, cm.n_in
-    n_labels = len(labels)
+    n_labels = len(cm.labels)
     # No rule key holds a node id outside [0, n_nodes).  Such a destination
     # gets a stand-in that puts every probe past all rule keys, and such a
     # source skips the keyed probes, so that no probe aliases another key.
     dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
     src_keyed = memo is None and 0 <= src < n_nodes
-    steps = trace.steps
-    weights: list[float] = []
+    hops: list[tuple] = []
     pairs: list[int] = []  # pair id of each hop's link
     keys: list[int] = []  # node * n_labels + label of each state walked, with a memo
     seen: set[int] = set()
     total = 0.0
+    outcome, reason = DROPPED, ""
     hit = None
     node = src
     label = 0
@@ -441,8 +468,7 @@ def _walk(cm: CompiledMatrix, trace: Trace, dead_pair: int,
         # (node, label, in_link) as one int; in_link runs over -1..n_in-2.
         state = key * n_in + in_link
         if state in seen:
-            trace.outcome = LOOP
-            trace.reason = "forwarding state repeated"
+            outcome, reason = LOOP, "forwarding state repeated"
             break
         seen.add(state)
         table = tables[node]
@@ -461,7 +487,7 @@ def _walk(cm: CompiledMatrix, trace: Trace, dead_pair: int,
                     if action is not None:
                         break
                 else:
-                    trace.reason = "no matching rule"
+                    reason = "no matching rule"
                     break
         kind = action[0]
         if kind == _GROUP:
@@ -472,64 +498,57 @@ def _walk(cm: CompiledMatrix, trace: Trace, dead_pair: int,
                     action = bucket_action
                     break
             else:
-                trace.reason = "no live group bucket"
+                reason = "no live group bucket"
                 break
             kind = action[0]
         if kind != _FORWARD:
-            trace.reason = action[1]
+            reason = action[1]
             break
         _, new_label, link, weight, link_id, pair, u, v = action
         if new_label >= 0:
             label = new_label
         if pair == dead_pair or u == dead_node or v == dead_node:
-            trace.reason = f"output link {link} is dead"
+            reason = f"output link {link} is dead"
             break
         if node == u:
-            nxt = v
+            node = v
         elif node == v:
-            nxt = u
+            node = u
         else:
-            trace.reason = f"output link {link} does not touch node {node}"
+            reason = f"output link {link} does not touch node {node}"
             break
-        steps.append(TraceStep(node, labels[label], link, weight))
-        weights.append(weight)
+        hops.append(action)
         pairs.append(pair)
         total += weight
-        node = nxt
         in_link = link_id
     else:
-        steps.append(TraceStep(node, labels[label], None, 0.0))
-        trace.outcome = DELIVERED
+        outcome = DELIVERED
     if hit is not None:
-        (walk_steps, walk_weights, walk_pairs, trace.outcome, trace.reason), index = hit
-        steps += walk_steps[index:]
+        (walk_hops, walk_pairs, outcome, reason), index = hit
         # The same left-to-right sum as adding each weight in the walk.
-        total = reduce(add, islice(walk_weights, index, None), total)
-        weights += walk_weights[index:]
+        total = reduce(add, map(_weight_of, islice(walk_hops, index, None)), total)
+        hops += walk_hops[index:]
         pairs += walk_pairs[index:]
-    if keys and trace.outcome != LOOP:
-        walk = (steps.copy(), weights, pairs, trace.outcome, trace.reason)
+    if keys and outcome != LOOP:
+        remembered = (hops, pairs, outcome, reason)
         for index, key in enumerate(keys):
-            memo[key] = (walk, index)
-    trace.total_weight = total
-    if trace.outcome == DELIVERED and len(set(pairs)) < len(pairs):
+            memo[key] = (remembered, index)
+    crankback = 0.0
+    if outcome == DELIVERED and len(set(pairs)) < len(pairs):
         # Crankback needs a link traversed twice.  Each hop that retraces an
         # earlier hop not yet retraced counts, summed left to right.  Arc ids
         # are 2*pair_id leaving the lower endpoint, +1 leaving the higher.
         unmatched: list[int] = []
-        crankback = 0.0
         node = src
-        for index, pair in enumerate(pairs):
-            nxt = steps[index + 1].node
-            arc = 2 * pair + (node > nxt)
+        for _, _, _, weight, _, pair, u, v in hops:
+            arc = 2 * pair + (node == v)
             if arc ^ 1 in unmatched:
                 unmatched.remove(arc ^ 1)
-                crankback += weights[index]
+                crankback += weight
             else:
                 unmatched.append(arc)
-            node = nxt
-        trace.crankback_weight = crankback
-    return trace
+            node = u if node == v else v
+    return outcome, reason, total, crankback, hops
 
 
 def crankback_of(trace: Trace) -> float:

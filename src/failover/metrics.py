@@ -20,14 +20,13 @@ from statistics import fmean
 from typing import Callable, NamedTuple
 
 from .baseline import disjoint_rules
-from .dataplane import LOOP, compile_matrix, simulate
+from .dataplane import DELIVERED, LOOP, compile_matrix, simulate, walk
 from .protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from .rules import MODE_DISJOINT_NODE, MODE_HYBRID, MODE_PER_NODE, ForwardingMatrix
 # Unused here; bound so that perfbench/tracing.py finds it by this name.
 from .spf import all_shortest_trees  # noqa: F401
 from .topology import (
     NO_FAILURE,
-    FailureScenario,
     GenerationError,
     Topology,
     check_lattice_size,
@@ -94,23 +93,15 @@ class MetricsRow:
         return ",".join(num(getattr(self, name)) for name in CSV_HEADER.split(","))
 
 
-def _on_path_scenarios(mode: str, sequence: tuple[int, ...],
-                       made: dict) -> list[FailureScenario]:
-    """The failures to test on one primary path; ``made`` holds the
-    scenarios of ``t``'s nodes and links, keyed by node and by arc."""
-    if mode in _NODE_FAILURE_MODES:
-        # Endpoints are excluded: the source is the sender and a failed
-        # destination is undeliverable by definition.
-        return [made.get(v) or FailureScenario.node_down(v) for v in sequence[1:-1]]
-    return [made.get(arc) or FailureScenario.link_down(*arc) for arc in zip(sequence, sequence[1:])]
-
-
 def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> MetricsRow:
     """Metrics for one forwarding configuration over one topology.
 
     ``fw`` is compiled once for this call (:func:`compile_matrix`) and every
-    trace walks the compiled form; nothing is kept after the call returns.
-    Traces are walked destination by destination, the order in which the
+    walk runs on the compiled form; nothing is kept after the call returns.
+    Each pair's no-failure path is traced with ``simulate``, and each
+    failure on that path is walked with :func:`~failover.dataplane.walk`,
+    which gives the outcome, total and crankback without building a trace.
+    Pairs are walked destination by destination, the order in which the
     compiled walk reuses the suffixes it remembers per destination.  The
     row does not depend on that order: means are ``fmean`` (an exactly
     rounded sum over the count) and the rest are minima, maxima and counts.
@@ -119,10 +110,8 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
     check_positive_weights(t)
     trees = t.shortest_paths().trees
     compiled = compile_matrix(fw, t)
-    scenarios: dict = {v: FailureScenario.node_down(v) for v in t.nodes}
-    for link in t.links:
-        scenarios[link.u, link.v] = scenarios[link.v, link.u] = FailureScenario.link_down(
-            link.u, link.v)
+    pair_ids = compiled.pair_ids
+    node_failures = fw.mode in _NODE_FAILURE_MODES
     primary_ratios: list[float] = []
     backup_avgs: list[float] = []
     backup_mins: list[float] = []
@@ -146,16 +135,23 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
                 uncovered += 1
                 continue
             primary_ratios.append(primary.total_weight / oracle)
+            # The failures on the primary path, as (dead pair id, dead node).
+            if node_failures:
+                # Endpoints are excluded: the source is the sender and a
+                # failed destination is undeliverable by definition.
+                failures = [(-1, step.node) for step in primary.steps[1:-1]]
+            else:
+                failures = [(pair_ids[step.link.pair], None) for step in primary.steps[:-1]]
             pair_ratios: list[float] = []
             pair_cranks: list[float] = []
-            for scenario in _on_path_scenarios(fw.mode, primary.node_sequence, scenarios):
-                trace = simulate(compiled, t, scenario, s, d)
-                if trace.outcome == LOOP:
-                    loops += 1
-                if trace.delivered:
-                    pair_ratios.append(trace.total_weight / oracle)
-                    pair_cranks.append(trace.crankback_weight / oracle)
+            for dead_pair, dead_node in failures:
+                outcome, _, total, crankback, _ = walk(compiled, s, d, dead_pair, dead_node)
+                if outcome == DELIVERED:
+                    pair_ratios.append(total / oracle)
+                    pair_cranks.append(crankback / oracle)
                 else:
+                    if outcome == LOOP:
+                        loops += 1
                     uncovered += 1
             if pair_ratios:
                 backup_avgs.append(fmean(pair_ratios))

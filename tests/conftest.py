@@ -96,15 +96,15 @@ def five_node_detour() -> Topology:
 
 
 @st.composite
-def two_connected_graphs(draw):
-    """A ring with random chords: two-connected, weights zero, one or tied."""
+def two_connected_graphs(draw, weights=(0.0, 1.0, 1.0, 2.5)):
+    """A ring with random chords: two-connected, each link weight drawn from
+    ``weights`` (by default zero, one or tied)."""
     n = draw(st.integers(4, 6))
     chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
     pairs = {(i, (i + 1) % n) for i in range(n)} | {(u, v) for u, v in chords if u != v}
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
-    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.5]),
-                            min_size=len(edges), max_size=len(edges)))
-    return Topology(n, [Link(u, v, w) for (u, v), w in zip(edges, weights)])
+    drawn = draw(st.lists(st.sampled_from(weights), min_size=len(edges), max_size=len(edges)))
+    return Topology(n, [Link(u, v, w) for (u, v), w in zip(edges, drawn)])
 
 
 def oracle_corpus() -> list[tuple[str, Topology]]:

@@ -7,7 +7,8 @@ a filtered view, itself validated against enumeration) and never touch the
 rule machinery or the seeded detour search they verify.  Second engines
 check the library's own: Floyd-Warshall for shortest distances, Bhandari's
 arc reversal for min-sum disjoint pairs, and an unseeded Suurballe search
-for the seeded second path.
+for the seeded second path.  ``reference_measure`` restates the evaluation
+metrics with the reference packet walk on the uncompiled matrix.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import combinations
+from statistics import fmean
 from typing import Iterator, Optional
 
 from failover.baseline import DisjointPair
+from failover.dataplane import crankback_of, simulate
+from failover.metrics import MetricsRow
 from failover.rules import ForwardingMatrix
 from failover.spf import (
     AffectedSets,
@@ -384,3 +388,70 @@ class DetourOracle:
                     return None
                 return prim[: i - 1] + detour[: j + 1] + node_tree.paths[d][1:]
         return prim[: i - 1] + detour
+
+
+# Matrix modes whose backups are scored under node failures; the others are
+# scored under link failures.
+_NODE_FAILURE_MODES = ("per-node", "hybrid", "disjoint-node")
+
+
+def reference_measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> MetricsRow:
+    """``metrics.measure`` from the reference walk: every trace is walked
+    by ``simulate`` on the uncompiled ``fw``, source by source, and its
+    crankback recounted with ``crankback_of``.  A pair's shortest distance
+    is that of a plain Dijkstra tree (``unseeded_tree``)."""
+    nan = float("nan")
+    primary_ratios: list[float] = []
+    backup: list[tuple[float, float, float, float, float]] = []
+    uncovered = loops = 0
+    for s in t.nodes:
+        dist = unseeded_tree(t, s).dist
+        for d in t.nodes:
+            if s == d:
+                continue
+            if d not in dist:
+                uncovered += 1
+                continue
+            primary = simulate(fw, t, NO_FAILURE, s, d)
+            loops += primary.outcome == "loop"
+            if primary.outcome != "delivered":
+                uncovered += 1
+                continue
+            primary_ratios.append(primary.total_weight / dist[d])
+            path = primary.node_sequence
+            if fw.mode in _NODE_FAILURE_MODES:
+                scenarios = [FailureScenario.node_down(v) for v in path[1:-1]]
+            else:
+                scenarios = [FailureScenario.link_down(a, b) for a, b in zip(path, path[1:])]
+            ratios, cranks = [], []
+            for scenario in scenarios:
+                trace = simulate(fw, t, scenario, s, d)
+                loops += trace.outcome == "loop"
+                if trace.outcome == "delivered":
+                    ratios.append(trace.total_weight / dist[d])
+                    cranks.append(crankback_of(trace) / dist[d])
+                else:
+                    uncovered += 1
+            if ratios:
+                backup.append((fmean(ratios), min(ratios), max(ratios), fmean(cranks),
+                               max(cranks)))
+    columns = [fmean(column) for column in zip(*backup)] or [nan] * 5
+    flow = fw.rule_count()
+    return MetricsRow(
+        network=network,
+        variant=fw.mode,
+        size=t.n,
+        flow_entries=float(flow),
+        group_fwd_entries=float(fw.group_forwarding_count()),
+        distinct_groups=float(fw.distinct_group_count()),
+        primary_ratio=fmean(primary_ratios) if primary_ratios else nan,
+        backup_avg=columns[0],
+        backup_min=columns[1],
+        backup_max=columns[2],
+        crankback_avg=columns[3],
+        crankback_max=columns[4],
+        base_entries=float(t.n * (t.n - 1)),
+        extra_entries=float(flow - t.n * (t.n - 1)),
+        uncovered_cases=float(uncovered),
+        loop_traces=float(loops),
+    )

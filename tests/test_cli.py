@@ -369,3 +369,59 @@ def test_evaluate_rejects_repeated_sizes_and_variants(flags, message, tmp_path, 
     assert main(argv) == 2
     assert capsys.readouterr().err == f"failover evaluate: {message}\n"
     assert not csv_path.exists()
+
+
+def _output_argv(command: str, out: str, tmp_path) -> list[str]:
+    topo = tmp_path / "topo.txt"
+    topo.write_text("3\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
+    return {
+        "generate": ["generate", "--kind", "er", "-n", "9", "--seed", "1", "--out", out],
+        "compute": ["compute", "--topology", str(topo), "--variant", "per-link", "--out", out],
+        "evaluate-csv": ["evaluate", "--sizes", "9", "--runs", "1", "--csv", out],
+        "evaluate-json": ["evaluate", "--sizes", "9", "--runs", "1", "--json", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["generate", "compute", "evaluate-csv", "evaluate-json"])
+@pytest.mark.parametrize("where, reason", [
+    ("absent-dir", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+def test_unwritable_output_is_one_error_line(command, where, reason, tmp_path, capsys):
+    out = str(tmp_path / "absent" / "x") if where == "absent-dir" else str(tmp_path)
+    assert main(_output_argv(command, out, tmp_path)) == 2
+    captured = capsys.readouterr()
+    name = command.split("-")[0]
+    assert captured.err == f"failover {name}: {out}: {reason}\n"
+    assert captured.out == ""
+
+
+def test_evaluate_checks_its_outputs_before_it_runs(tmp_path, monkeypatch, capsys):
+    import failover.cli
+
+    def run_experiment(config):
+        raise AssertionError("evaluate ran with an output it cannot write")
+
+    monkeypatch.setattr(failover.cli, "run_experiment", run_experiment)
+    csv_path, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    bad = str(tmp_path / "absent" / "report.json")
+    for csv_out in (csv_path, kept):
+        argv = ["evaluate", "--sizes", "9", "--runs", "1", "--csv", str(csv_out), "--json", bad]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"failover evaluate: {bad}: No such file or directory\n"
+    # The check writes nothing: no new file, and an existing one unchanged.
+    assert not csv_path.exists()
+    assert kept.read_text() == "old\n"
+
+
+def test_compute_checks_its_output_before_it_builds(tmp_path, monkeypatch, capsys):
+    import failover.cli
+
+    def build_variant(*args, **kwargs):
+        raise AssertionError("compute built a matrix it cannot write")
+
+    monkeypatch.setattr(failover.cli, "build_variant", build_variant)
+    out = str(tmp_path / "absent" / "matrix.json")
+    assert main(_output_argv("compute", out, tmp_path)) == 2
+    assert capsys.readouterr().err == f"failover compute: {out}: No such file or directory\n"

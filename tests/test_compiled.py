@@ -5,7 +5,8 @@ reference walk returns on the matrix it was compiled from: same outcome,
 reason, steps, and the same float sums to the last bit.  On a matrix without
 keyed rules the compiled walk splices in suffixes remembered from earlier
 calls toward the same destination, so it is also checked under several call
-orders on one compiled matrix; a matrix with keyed rules must keep no memo.
+orders on one compiled matrix, with traces and direct calls of ``walk``
+interleaved; a matrix with keyed rules must keep no memo.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failover.dataplane import compile_matrix, simulate
+from failover.dataplane import CompiledMatrix, compile_matrix, simulate, walk
 from failover.metrics import ALL_VARIANTS, build_variant
 from failover.protect import hybrid_rules, per_link_rules, per_node_rules
 from failover.spf import all_shortest_trees, primary_matrix_from_trees
@@ -166,6 +167,29 @@ class TestHandMadeMatrices:
         assert [str(step.label) for step in trace.steps] == [
             "link:1-2", "node:2", "node:2", "primary", "primary"]
 
+    def test_crankback_consumes_the_hop_it_retraces(self):
+        # 0 -> 1 -> 0 cranks back over 0-1 once; the packet later crosses
+        # 1 -> 0 again after going round 0-3-2-1, which retraces nothing
+        # left unmatched, so crankback stays the weight of 0-1.
+        t = Topology(5, [Link(0, 1, 1.5), Link(1, 2, 1.0), Link(2, 3, 1.0), Link(0, 3, 1.0),
+                         Link(0, 4, 1.0)])
+        fw = ForwardingMatrix("per-link", t.n)
+        l01, l03, l23, l12 = (t.link_between(0, 1), t.link_between(0, 3),
+                              t.link_between(2, 3), t.link_between(1, 2))
+        out, back = link_fail(0, 1), node_fail(2)
+        fw.add_rule(0, Match(PRIMARY, 4), PushLabelOutput(out, l01))
+        fw.add_rule(1, Match(out, 4), Output(l01))
+        fw.add_rule(0, Match(out, 4), RewriteLabelOutput(back, l03))
+        fw.add_rule(3, Match(back, 4), Output(l23))
+        fw.add_rule(2, Match(back, 4), Output(l12))
+        fw.add_rule(1, Match(back, 4), Output(l01))
+        fw.add_rule(0, Match(back, 4), PopLabelOutput(t.link_between(0, 4)))
+        assert_same_traces(fw, t, every_scenario(t))
+        assert_same_traces_in_every_order(fw, t, every_scenario(t))
+        trace = simulate(compile_matrix(fw, t), t, NO_FAILURE, 0, 4)
+        assert trace.node_sequence == (0, 1, 0, 3, 2, 1, 0, 4)
+        assert (trace.total_weight, trace.crankback_weight) == (8.5, 1.5)
+
     def test_source_and_in_link_keys(self):
         # Node 1 returns packets of source 0 (a source-only key, reached
         # with an incoming link set); node 0 then keys on that incoming link.
@@ -288,18 +312,44 @@ def call_orders(t: Topology, scenarios, seed: int = 0) -> dict[str, list]:
     }
 
 
+def walk_key(compiled: CompiledMatrix, scenario: FailureScenario, s: int, d: int):
+    """What a direct call of ``walk`` gives for one triple, in the terms of
+    ``trace_key``: the hops as the links they cross."""
+    dead_pair = (compiled.pair_ids.get((scenario.u, scenario.v), -1)
+                 if scenario.kind == "link" else -1)
+    dead_node = scenario.v if scenario.kind == "node" else None
+    outcome, reason, total, crankback, hops = walk(compiled, s, d, dead_pair, dead_node)
+    return (outcome, reason, [hop[2] for hop in hops], repr(total), repr(crankback))
+
+
+def reference_walk_key(trace):
+    return (trace.outcome, trace.reason, [step.link for step in trace.steps if step.link],
+            repr(trace.total_weight), repr(trace.crankback_weight))
+
+
 def assert_same_traces_in_every_order(fw: ForwardingMatrix, t: Topology, scenarios,
                                       seed: int = 0) -> None:
-    """One compiled matrix per call order, every trace equal to the reference."""
+    """One compiled matrix per call order, every trace and every direct walk
+    equal to the reference.  At each call a seeded choice traces the triple
+    with ``simulate``, walks it with ``walk``, or does both, so that each
+    kind of call reads memo entries the other kind left."""
     expected = {}
+    rng = random.Random(seed)
     for order, triples in call_orders(t, scenarios, seed).items():
         compiled = compile_matrix(fw, t)
         for scenario, s, d in triples:
             key = (scenario, s, d)
             if key not in expected:
-                expected[key] = trace_key(simulate(fw, t, scenario, s, d))
-            assert trace_key(simulate(compiled, t, scenario, s, d)) == expected[key], (
-                order, fw.mode, str(scenario), s, d)
+                expected[key] = simulate(fw, t, scenario, s, d)
+            reference = expected[key]
+            calls = rng.randrange(3)
+            # ``walk`` wants a live source; ``simulate`` answers for a dead one.
+            if calls != 1 or not scenario.node_is_live(s):
+                assert trace_key(simulate(compiled, t, scenario, s, d)) == trace_key(
+                    reference), (order, fw.mode, str(scenario), s, d)
+            if calls != 0 and scenario.node_is_live(s):
+                assert walk_key(compiled, scenario, s, d) == reference_walk_key(reference), (
+                    order, fw.mode, str(scenario), s, d)
         if not compiled.memoizable:
             assert compiled.memo == (None, {})
 

@@ -6,6 +6,7 @@ import math
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from failover.dataplane import simulate
 from failover.metrics import (
@@ -18,9 +19,44 @@ from failover.metrics import (
 )
 from failover.protect import hybrid_rules, per_link_rules
 from failover.spf import all_shortest_trees
-from failover.topology import FailureScenario, Link, Topology, generate_erdos_renyi
+from failover.topology import (
+    FailureScenario,
+    Link,
+    Topology,
+    generate_erdos_renyi,
+    generate_lattice,
+    unit_weights,
+)
 
-from oracles import DetourOracle, all_to_all, path_weight
+from conftest import oracle_corpus, two_connected_graphs
+from oracles import DetourOracle, all_to_all, path_weight, reference_measure
+
+
+# The oracle corpus plus tie-heavy unit-weight graphs and a weighted one.
+MEASURE_CORPUS = oracle_corpus() + [
+    ("unit-er16", unit_weights(generate_erdos_renyi(16, 2))),
+    ("unit-lattice25", unit_weights(generate_lattice(25, 1))),
+    ("er16", generate_erdos_renyi(16, 2)),
+]
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["optimized", "unoptimized"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_measure_equals_the_reference_walk(variant, optimized):
+    # ``measure`` walks failures without building traces, on the compiled
+    # matrix and destination by destination; every field must still be the
+    # one the reference walk gives, to the last bit.
+    for name, t in MEASURE_CORPUS:
+        fw = build_variant(t, variant, optimized=optimized)
+        assert repr(measure(fw, t, name)) == repr(reference_measure(fw, t, name)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=two_connected_graphs(weights=(1.0, 1.0, 2.0)), variant=st.sampled_from(ALL_VARIANTS),
+       optimized=st.booleans())
+def test_measure_equals_the_reference_walk_on_tied_graphs(t, variant, optimized):
+    fw = build_variant(t, variant, optimized=optimized)
+    assert repr(measure(fw, t)) == repr(reference_measure(fw, t))
 
 
 class TestMeasure:
