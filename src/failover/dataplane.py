@@ -171,8 +171,8 @@ def simulate(
         dead_node = scenario.v if kind == "node" else None
         trace.outcome, trace.reason, trace.total_weight, trace.crankback_weight, hops = walk(
             fw, src, dst, dead_pair, dead_node)
-        # Each hop's label is the one its action leaves, its node the end of
-        # the link the hop before it arrived at.
+        # A step's label is the one its hop's action leaves; its node is the
+        # one the hop before it arrived at.
         labels, steps = fw.labels, trace.steps
         node, label = src, 0
         for _, new_label, link, weight, _, _, u, v in hops:
