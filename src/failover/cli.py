@@ -23,8 +23,8 @@ from .topology import (
     NO_FAILURE,
     FailureScenario,
     Topology,
-    dumps_topology,
     load_topology,
+    save_topology,
     unit_weights,
 )
 
@@ -107,7 +107,10 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"failover generate: {exc}", file=sys.stderr)
         return 2
-    if not _write_output("generate", args.out, dumps_topology(t)):
+    try:
+        save_topology(t, args.out)
+    except OSError as exc:
+        print(f"failover generate: {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     print(f"wrote {args.out}: {t.n} nodes, {len(t.links)} links")
     return 0
@@ -131,10 +134,6 @@ def _load_topology_arg(args, command: str) -> Optional[Topology]:
 def _cmd_compute(args) -> int:
     t = _load_topology_arg(args, "compute")
     if t is None:
-        return 2
-    problem = _unwritable(args.out)
-    if problem is not None:
-        print(f"failover compute: {args.out}: {problem}", file=sys.stderr)
         return 2
     try:
         fw = build_variant(t, args.variant, optimized=not args.no_optimize)

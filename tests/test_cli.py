@@ -413,15 +413,3 @@ def test_evaluate_checks_its_outputs_before_it_runs(tmp_path, monkeypatch, capsy
     # The check writes nothing: no new file, and an existing one unchanged.
     assert not csv_path.exists()
     assert kept.read_text() == "old\n"
-
-
-def test_compute_checks_its_output_before_it_builds(tmp_path, monkeypatch, capsys):
-    import failover.cli
-
-    def build_variant(*args, **kwargs):
-        raise AssertionError("compute built a matrix it cannot write")
-
-    monkeypatch.setattr(failover.cli, "build_variant", build_variant)
-    out = str(tmp_path / "absent" / "matrix.json")
-    assert main(_output_argv("compute", out, tmp_path)) == 2
-    assert capsys.readouterr().err == f"failover compute: {out}: No such file or directory\n"

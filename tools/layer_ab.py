@@ -11,9 +11,9 @@ generates the workload's topologies with that tree's
 the first build also computes its shared shortest-path trees, as in the
 benchmark) or ``metrics.measure`` of the matrices built untimed before it
 (``--op measure``).  A run keeps each variant's smallest time over
-``--repeats`` passes, summed over the topologies.
+``REPEATS`` passes, summed over the topologies.
 
-Runs come in ``--pairs`` pairs, the side that goes first alternating from
+Runs come in ``PAIRS`` pairs, the side that goes first alternating from
 pair to pair.  The tool prints, per variant and for their sum, each side's
 median CPU seconds, the ratio change/parent of the medians and the number
 of pairs in which the change was faster (ties count for neither side), and
@@ -33,6 +33,8 @@ import sys
 from pathlib import Path
 
 OPS = ("build", "measure")
+PAIRS = 5
+REPEATS = 2  # passes per run; each variant keeps its fastest
 
 # Runs in a fresh process in the root of a source tree; argv: workload,
 # seed, op, repeats.  Prints one JSON object {variant: seconds}.
@@ -65,8 +67,8 @@ print(json.dumps(best))
 """
 
 
-def run_once(root: Path, workload: str, seed: int, op: str, repeats: int) -> dict[str, float]:
-    done = subprocess.run([sys.executable, "-c", CHILD, workload, str(seed), op, str(repeats)],
+def run_once(root: Path, workload: str, seed: int, op: str) -> dict[str, float]:
+    done = subprocess.run([sys.executable, "-c", CHILD, workload, str(seed), op, str(REPEATS)],
                           cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"run in {root} failed with exit code {done.returncode}:\n"
@@ -100,30 +102,23 @@ def main(argv=None) -> int:
     parser.add_argument("--op", choices=OPS, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="passes per run; each variant keeps its fastest")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.repeats < 1:
-        parser.error("--pairs and --repeats must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
-    for index in range(args.pairs):
+    for index in range(PAIRS):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(roots[side], args.workload, args.seed, args.op,
-                                       args.repeats))
+            runs[side].append(run_once(roots[side], args.workload, args.seed, args.op))
             print(f"pair {index + 1} {side} total={sum(runs[side][-1].values()):.3f} s",
                   file=sys.stderr, flush=True)
     summary = summarise(runs)
-    print(f"{args.op} on {args.workload} seed {args.seed}: CPU s, median of {args.pairs} pairs")
+    print(f"{args.op} on {args.workload} seed {args.seed}: CPU s, median of {PAIRS} pairs")
     print(f"{'variant':<14} {'parent':>8} {'change':>8} {'ratio':>7} {'wins':>6}")
     for name, row in summary.items():
         print(f"{name:<14} {row['parent_s']:8.3f} {row['change_s']:8.3f} {row['ratio']:7.3f} "
-              f"{row['change_wins']:>3}/{args.pairs}")
+              f"{row['change_wins']:>3}/{PAIRS}")
     print(json.dumps({"op": args.op, "workload": args.workload, "seed": args.seed,
-                      "pairs": args.pairs, "repeats": args.repeats, "summary": summary,
-                      "runs": runs}, sort_keys=True))
+                      "summary": summary, "runs": runs}, sort_keys=True))
     return 0
 
 
