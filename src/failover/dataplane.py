@@ -75,6 +75,7 @@ from .rules import (
     PopLabelOutput,
     PushLabelOutput,
     RewriteLabelOutput,
+    check_matrix_size,
 )
 from .topology import FailureScenario, Link, Topology
 
@@ -91,14 +92,12 @@ class TraceStep(NamedTuple):
     node: int
     label: FailureLabel  # label after this node's actions
     link: Optional[Link]  # outgoing link, None on the terminal step
-    weight: float
 
 
 @dataclass
 class Trace:
     src: int
     dst: int
-    scenario: FailureScenario
     steps: list[TraceStep] = field(default_factory=list)
     outcome: str = DROPPED
     reason: str = ""
@@ -117,11 +116,11 @@ class Trace:
         lines = []
         for step in self.steps:
             link = "-" if step.link is None else str(step.link)
-            weight = "-" if step.link is None else repr(step.weight)
+            weight = "-" if step.link is None else repr(step.link.weight)
             lines.append(f"{step.node} {step.label} {link} {weight}")
-        lines.append(
-            f"{self.outcome} total={self.total_weight!r} crankback={self.crankback_weight!r}"
-        )
+        reason = "" if self.delivered else f" reason={self.reason}"
+        lines.append(f"{self.outcome} total={self.total_weight!r} "
+                     f"crankback={self.crankback_weight!r}{reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -157,11 +156,14 @@ def simulate(
     ``fw`` is a :class:`ForwardingMatrix` (the reference walk) or the
     :class:`CompiledMatrix` of one (the same trace, faster per hop).  A
     scenario naming a link or node that ``t`` does not have kills nothing;
-    ``failover simulate`` rejects such a scenario before it gets here.
+    ``failover simulate`` rejects such a scenario before it gets here.  A
+    matrix for another node count than ``t``'s raises ``ValueError``.
     """
     if src == dst:
         raise ValueError("source and destination must differ")
-    trace = Trace(src, dst, scenario)
+    if isinstance(fw, ForwardingMatrix):
+        check_matrix_size(fw.n, t)
+    trace = Trace(src, dst)
     if not scenario.node_is_live(src):
         trace.reason = "source is the failed node"
         return trace
@@ -175,13 +177,13 @@ def simulate(
         # one the hop before it arrived at.
         labels, steps = fw.labels, trace.steps
         node, label = src, 0
-        for _, new_label, link, weight, _, _, u, v in hops:
+        for _, new_label, link, _, _, _, u, v in hops:
             if new_label >= 0:
                 label = new_label
-            steps.append(TraceStep(node, labels[label], link, weight))
+            steps.append(TraceStep(node, labels[label], link))
             node = u if node == v else v
         if trace.delivered:
-            steps.append(TraceStep(node, labels[label], None, 0.0))
+            steps.append(TraceStep(node, labels[label], None))
         return trace
     node = src
     label = PRIMARY
@@ -230,11 +232,11 @@ def simulate(
         if node != out.u and node != out.v:
             trace.reason = f"output link {out} does not touch node {node}"
             return trace
-        trace.steps.append(TraceStep(node, label, out, out.weight))
+        trace.steps.append(TraceStep(node, label, out))
         trace.total_weight += out.weight
         in_link = out
         node = out.other(node)
-    trace.steps.append(TraceStep(node, label, None, 0.0))
+    trace.steps.append(TraceStep(node, label, None))
     trace.outcome = DELIVERED
     trace.crankback_weight = crankback_of(trace)
     return trace
@@ -248,6 +250,7 @@ def simulate(
 #   (_DROP, reason)
 _FORWARD, _GROUP, _DROP = range(3)
 _weight_of = itemgetter(3)
+_pair_of = itemgetter(5)
 
 
 class CompiledMatrix:
@@ -285,10 +288,10 @@ class CompiledMatrix:
         self.n_in = n_in  # number of link ids plus one
         self.memoizable = not any(keyed)
         # (dst, {(dead_pair, dead_node): {node * n_labels + label: (walk,
-        # index)}}), walk = (hops, pair ids, outcome, reason) of one whole
-        # walk, hops its compiled forward actions, and index the position of
-        # that state in it.  No trace step is kept: ``simulate`` rebuilds its
-        # steps from the hops.
+        # index)}}), walk = (hops, outcome, reason) of one whole walk, hops
+        # its compiled forward actions, and index the position of that state
+        # in it.  No trace step is kept: ``simulate`` rebuilds its steps from
+        # the hops.
         self.memo: tuple[Optional[int], dict] = (None, {})
 
 
@@ -306,8 +309,10 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     A group that is not defined, or nested in a bucket, compiles to a drop
     with the reason the reference walk gives when a packet reaches it.  Node
     ids in rule keys must be non-negative ints, as in every
-    :class:`Topology`.
+    :class:`Topology`.  A matrix for another node count than ``t``'s raises
+    ``ValueError``.
     """
+    check_matrix_size(fw.n, t)
     label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
     labels: list[FailureLabel] = [PRIMARY]
     link_ids: dict[Link, int] = {}
@@ -449,7 +454,6 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
     dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
     src_keyed = memo is None and 0 <= src < n_nodes
     hops: list[tuple] = []
-    pairs: list[int] = []  # pair id of each hop's link
     keys: list[int] = []  # node * n_labels + label of each state walked, with a memo
     seen: set[int] = set()
     total = 0.0
@@ -518,23 +522,21 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
             reason = f"output link {link} does not touch node {node}"
             break
         hops.append(action)
-        pairs.append(pair)
         total += weight
         in_link = link_id
     else:
         outcome = DELIVERED
     if hit is not None:
-        (walk_hops, walk_pairs, outcome, reason), index = hit
+        (walk_hops, outcome, reason), index = hit
         # The same left-to-right sum as adding each weight in the walk.
         total = reduce(add, map(_weight_of, islice(walk_hops, index, None)), total)
         hops += walk_hops[index:]
-        pairs += walk_pairs[index:]
     if keys and outcome != LOOP:
-        remembered = (hops, pairs, outcome, reason)
+        remembered = (hops, outcome, reason)
         for index, key in enumerate(keys):
             memo[key] = (remembered, index)
     crankback = 0.0
-    if outcome == DELIVERED and len(set(pairs)) < len(pairs):
+    if outcome == DELIVERED and len(set(map(_pair_of, hops))) < len(hops):
         # Crankback needs a link traversed twice.  Each hop that retraces an
         # earlier hop not yet retraced counts, summed left to right.  Arc ids
         # are 2*pair_id leaving the lower endpoint, +1 leaving the higher.

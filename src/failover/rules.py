@@ -22,7 +22,7 @@ import gc
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .topology import Link, Topology
 
@@ -232,7 +232,6 @@ class Bucket(NamedTuple):
 
 @dataclass(frozen=True)
 class GroupEntry:
-    group_id: int
     node: int
     buckets: tuple[Bucket, ...]
 
@@ -258,11 +257,12 @@ class ForwardingMatrix:
         self.mode = mode
         self.n = n
         self.tables: list[dict[Match, Action]] = [dict() for _ in range(n)]
-        self.groups: dict[int, GroupEntry] = {}
+        self.groups: dict[int, GroupEntry] = {}  # by group id
         # ``group_refs[gid]`` is made on first use and shared from then on.
         self.group_refs: dict[int, GroupRef] = _Memo(GroupRef)
-        # Built from ``groups`` by the first ``intern_group`` call.
+        # Built from ``groups`` by the first ``intern_group`` call, as is the next new id.
         self._group_index: Optional[dict[tuple[int, tuple[Bucket, ...]], int]] = None
+        self._next_group_id = 0
         self.uncovered: list[UncoveredEntry] = []
         self.stats: dict[str, float] = {}
         # Labeled pop rules a build for ``optimize`` left out; not serialized.
@@ -282,16 +282,18 @@ class ForwardingMatrix:
         self.tables[node][match] = action
 
     def intern_group(self, node: int, buckets: tuple[Bucket, ...]) -> GroupRef:
-        """Groups with identical ordered buckets at one node are shared."""
+        """Groups with identical ordered buckets at one node are shared.  A
+        new group's id is one more than the largest id in use."""
         index = self._group_index
         if index is None:
             index = self._group_index = {(g.node, g.buckets): gid for gid, g in self.groups.items()}
+            self._next_group_id = max(self.groups, default=-1) + 1
         key = (node, buckets)
         group_id = index.get(key)
         if group_id is None:
-            group_id = len(self.groups)
-            index[key] = group_id
-            self.groups[group_id] = GroupEntry(group_id, node, buckets)
+            group_id = index[key] = self._next_group_id
+            self._next_group_id += 1
+            self.groups[group_id] = GroupEntry(node, buckets)
         return self.group_refs[group_id]
 
     def prune_unreferenced_groups(self) -> None:
@@ -378,6 +380,8 @@ class ForwardingMatrix:
                     if kind is PopLabelOutput and primary:
                         raise ValueError(f"pop from primary match at node {node}")
         for gid, group in groups.items():
+            if type(gid) is not int or type(group.node) is not int:
+                raise ValueError(f"group {gid!r} at node {group.node!r}: ids and nodes must be ints")
             if len(group.buckets) < 2:
                 raise ValueError(f"group {gid} has fewer than two buckets")
             for bucket in group.buckets:
@@ -432,10 +436,11 @@ class ForwardingMatrix:
         """Load a matrix of ``t`` written by :meth:`to_json`.
 
         Raises ``ValueError`` unless the matrix has ``t``'s node count, names
-        only links of ``t``, known labels and action types, and passes
-        :meth:`validate`; a missing key raises ``KeyError``.  Each distinct
-        label, link and action is parsed once per load, and the rules that
-        forward to one group share its ``GroupRef``.
+        only links of ``t``, known labels and action types, has one rule per
+        node and match and one group per id, and passes :meth:`validate`; a
+        missing key raises ``KeyError``.  Each distinct label, link and
+        action is parsed once per load, and the rules that forward to one
+        group share its ``GroupRef``.
 
         The whole load, parse and validation, runs with Python's cyclic
         garbage collector paused.  That is safe because a load creates no
@@ -448,8 +453,7 @@ class ForwardingMatrix:
         """
         with _collector_paused():
             n = data["n"]
-            if n != t.n:
-                raise ValueError(f"matrix is for {n} nodes, topology has {t.n}")
+            check_matrix_size(n, t)
             fw = cls(data["mode"], n)
             labels = _Memo(FailureLabel.parse)
             links = _Memo(lambda text: _parse_link(text, t))
@@ -462,8 +466,8 @@ class ForwardingMatrix:
                     return group_refs[entry["id"]]
                 return actions[(kind, entry.get("link"), entry.get("label"))]
 
-            tables = fw.tables
-            for entry in data["rules"]:
+            tables, rules = fw.tables, data["rules"]
+            for entry in rules:
                 node = entry["node"]
                 if not 0 <= node < n:
                     raise ValueError(f"rule at node {node}, outside 0..{n - 1}")
@@ -471,12 +475,22 @@ class ForwardingMatrix:
                 match = Match(labels[entry["label"]], entry["dst"], entry["src"],
                               None if in_link is None else links[in_link])
                 tables[node][match] = action(entry["action"])
-            for g in data["groups"]:
+            if fw.rule_count() != len(rules):
+                node, match = _first_repeat(
+                    (e["node"], Match(labels[e["label"]], e["dst"], e["src"],
+                                      None if e["in_link"] is None else links[e["in_link"]]))
+                    for e in rules)
+                raise ValueError(f"matrix has two rules at node {node} for {match}")
+            groups = data["groups"]
+            for g in groups:
                 buckets = tuple(
                     Bucket(None if b["watch"] is None else links[b["watch"]], action(b["action"]))
                     for b in g["buckets"]
                 )
-                fw.groups[g["id"]] = GroupEntry(g["id"], g["node"], buckets)
+                fw.groups[g["id"]] = GroupEntry(g["node"], buckets)
+            if len(fw.groups) != len(groups):
+                gid = _first_repeat(g["id"] for g in groups)
+                raise ValueError(f"matrix has two groups with id {gid!r}")
             fw.uncovered = [UncoveredEntry(*entry) for entry in data.get("uncovered", [])]
             fw.stats = dict(data.get("stats", {}))
             fw.validate()
@@ -528,6 +542,21 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.parse(key)
         return value
+
+
+def check_matrix_size(n: int, t: Topology) -> None:
+    """Raise ``ValueError`` unless a matrix of ``n`` nodes fits ``t``."""
+    if n != t.n:
+        raise ValueError(f"matrix is for {n} nodes, topology has {t.n}")
+
+
+def _first_repeat(items: Iterable):
+    """The first item of ``items`` equal to an earlier one."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
 
 
 def rule_conflict(node: int, match: Match, existing: Action, action: Action) -> ValueError:

@@ -17,7 +17,7 @@ oracle (``tests/oracles.py``) runs it.  Distances are exact minima over
 left-associated float sums, so Dijkstra and the queued Bellman-Ford agree
 bit-for-bit.
 
-A detour tree (one failed link or node) is seeded from the source's
+A detour tree (one failed link or node) is seeded from the source's shared
 unrestricted tree.  Call a node dead when its preferred path touches the
 failed element: the subtree below the failed tree link, or below the failed
 node.  Every other node keeps its ``(dist, path)``, and only the dead set is
@@ -101,49 +101,37 @@ class ShortestPathTree:
 
 
 def shortest_tree(
-    t: Topology,
-    src: int,
-    excluded: FailureScenario = NO_FAILURE,
-    *,
-    primary: Optional[ShortestPathTree] = None,
+    t: Topology, src: int, excluded: FailureScenario = NO_FAILURE
 ) -> ShortestPathTree:
     """Dijkstra from ``src`` over ``t`` minus ``excluded``.
 
-    With something excluded, the search is seeded from ``primary``, the
-    full unrestricted tree of ``src`` as this function returns it; it is
-    computed here when not given.  The result does not depend on it, and is
-    ``primary`` itself when the tree does not use the failed element.
+    With something excluded, the search is seeded from the shared full tree
+    of ``src`` (``t.shortest_paths().trees[src]``), which is the result
+    itself when it does not use the failed element (see the module
+    docstring).
     """
     if excluded.kind == "none":
         return ShortestPathTree(src, *lex_dijkstra(t.neighbors, src))
-    if primary is None:
-        primary = ShortestPathTree(src, *lex_dijkstra(t.neighbors, src))
-    return _detour_tree(t, src, excluded, primary)
-
-
-def _detour_tree(
-    t: Topology, src: int, excluded: FailureScenario, primary: ShortestPathTree
-) -> ShortestPathTree:
-    """``shortest_tree`` with something excluded, seeded from ``primary``
-    (see the module docstring)."""
+    primary = t.shortest_paths().trees[src]
     pdist, ppaths = primary.dist, primary.paths
-    adj = list(t.adjacency)
     failed = None
     if excluded.kind == "link":
         # The subtree below the failed link, if the tree uses it.
         a, b = excluded.u, excluded.v
         pa, pb = ppaths.get(a, ()), ppaths.get(b, ())
         top = b if pb[-2:] == (a, b) else a if pa[-2:] == (b, a) else None
-        if top is not None:
-            adj[a] = tuple(arc for arc in adj[a] if arc[0] != b)
-            adj[b] = tuple(arc for arc in adj[b] if arc[0] != a)
     elif excluded.v in ppaths:
         top = failed = excluded.v
-        adj[failed] = ()
     else:
         top = None
     if top is None:
         return primary
+    adj = list(t.adjacency)
+    if failed is None:
+        adj[a] = tuple(arc for arc in adj[a] if arc[0] != b)
+        adj[b] = tuple(arc for arc in adj[b] if arc[0] != a)
+    else:
+        adj[failed] = ()
 
     def unseeded() -> ShortestPathTree:
         if failed is not None:

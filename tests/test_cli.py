@@ -40,8 +40,10 @@ def test_simulate_exit_code_on_drop(tmp_path, capsys):
     main(["compute", "--topology", str(topo), "--variant", "per-node", "--out", str(matrix)])
     code = main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
                  "--scenario", "node:1", "--src", "0", "--dst", "1"])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 1  # destination is the failed node
+    # The group's second bucket is the drop installed for a failed destination.
+    assert out.splitlines()[-1] == "dropped total=0.0 crankback=0.0 reason=drop rule"
 
 
 def test_compute_no_optimize_keeps_more_rules(tmp_path):

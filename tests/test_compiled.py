@@ -237,7 +237,7 @@ def test_broken_groups_drop_only_when_reached(broken):
     fw = _ring(t)
     l12, l01 = t.link_between(1, 2), t.link_between(0, 1)
     if broken == "nested":
-        fw.groups[7] = GroupEntry(7, 1, (Bucket(l12, GroupRef(8)), Bucket(l01, Output(l01))))
+        fw.groups[7] = GroupEntry(1, (Bucket(l12, GroupRef(8)), Bucket(l01, Output(l01))))
         reason = "group 8 is nested in a group bucket"
     else:
         reason = "group 7 is not defined"

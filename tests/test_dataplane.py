@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from failover.baseline import disjoint_rules
-from failover.dataplane import crankback_of, simulate
+from failover.dataplane import compile_matrix, crankback_of, simulate
+from failover.metrics import measure
 from failover.protect import per_link_rules, per_node_rules
 from failover.rules import ForwardingMatrix, Match, Output, PRIMARY
-from failover.topology import FailureScenario, NO_FAILURE
+from failover.topology import FailureScenario, NO_FAILURE, generate_erdos_renyi
 
 from conftest import five_node_detour, square, triangle
 
@@ -39,6 +40,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(fw, unit_square, NO_FAILURE, 1, 1)
 
+    def test_a_matrix_of_another_node_count_is_refused(self):
+        fw = per_link_rules(generate_erdos_renyi(9, 3))
+        t = generate_erdos_renyi(10, 3)
+        message = "matrix is for 9 nodes, topology has 10"
+        for scenario in (NO_FAILURE, FailureScenario.node_down(0)):
+            with pytest.raises(ValueError, match=message):
+                simulate(fw, t, scenario, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            compile_matrix(fw, t)
+        with pytest.raises(ValueError, match=message):
+            measure(fw, t)
+
     def test_failed_source_never_forwards(self, unit_square):
         fw = per_node_rules(unit_square)
         trace = simulate(fw, unit_square, FailureScenario.node_down(0), 0, 2)
@@ -68,7 +81,7 @@ class TestSimulate:
         fw = per_link_rules(unit_square)
         trace = simulate(fw, unit_square, FailureScenario.link_down(1, 2), 0, 2)
         assert trace.total_weight == sum(
-            s.weight for s in trace.steps if s.link is not None
+            s.link.weight for s in trace.steps if s.link is not None
         )
         assert trace.crankback_weight <= trace.total_weight
 
@@ -118,15 +131,15 @@ class TestCrankback:
         l04 = t.link_between(0, 4)
         l43 = t.link_between(4, 3)
         steps = [
-            TraceStep(0, PRIMARY, l01, 1.0),
-            TraceStep(1, PRIMARY, l01, 1.0),
-            TraceStep(0, PRIMARY, l01, 1.0),
-            TraceStep(1, PRIMARY, l01, 1.0),
-            TraceStep(0, PRIMARY, l04, 2.0),
-            TraceStep(4, PRIMARY, l43, 2.0),
-            TraceStep(3, PRIMARY, None, 0.0),
+            TraceStep(0, PRIMARY, l01),
+            TraceStep(1, PRIMARY, l01),
+            TraceStep(0, PRIMARY, l01),
+            TraceStep(1, PRIMARY, l01),
+            TraceStep(0, PRIMARY, l04),
+            TraceStep(4, PRIMARY, l43),
+            TraceStep(3, PRIMARY, None),
         ]
-        trace = Trace(0, 3, NO_FAILURE, steps=steps, outcome="delivered")
+        trace = Trace(0, 3, steps=steps, outcome="delivered")
         assert crankback_of(trace) == 2.0
 
 

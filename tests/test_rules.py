@@ -62,6 +62,32 @@ def _missing_primary(t, data):
     data["rules"].remove(_first_rule(data))
 
 
+def _repeated_rule(t, data):
+    # A second rule for the same node and match, with another action.
+    rule = _first_rule(data, None, "output")
+    link = next(link for link in t.links
+                if rule["node"] in (link.u, link.v) and str(link) != rule["action"]["link"])
+    data["rules"].append(dict(rule, action={"type": "output", "link": str(link)}))
+
+
+def _repeated_group(t, data):
+    data["groups"].append(dict(data["groups"][-1], buckets=data["groups"][0]["buckets"]))
+
+
+def _string_group_id(t, data):
+    # Rules and group agree on the id, so only its type is wrong.
+    group = data["groups"][0]
+    for rule in data["rules"]:
+        if rule["action"] == {"type": "group", "id": group["id"]}:
+            rule["action"] = {"type": "group", "id": str(group["id"])}
+    group["id"] = str(group["id"])
+
+
+def _string_group_node(t, data):
+    data["groups"].append(dict(data["groups"][0], id=10**6,
+                               node=str(data["groups"][0]["node"])))
+
+
 SPOILERS = [
     (_wrong_n, "matrix is for 11 nodes, topology has 10"),
     (_absent_link, "absent from topology"),
@@ -69,6 +95,10 @@ SPOILERS = [
     (_unknown_action, "unknown action type"),
     (_non_incident_output, "outputs on non-incident"),
     (_missing_primary, "no primary rule at node"),
+    (_repeated_rule, "two rules at node"),
+    (_repeated_group, "two groups with id"),
+    (_string_group_id, "ids and nodes must be ints"),
+    (_string_group_node, "ids and nodes must be ints"),
 ]
 
 # Rule fields set to a node outside 0..9, for a matrix of ``stored("disjoint-link")``.
@@ -91,6 +121,19 @@ def test_rule_naming_a_node_outside_the_topology_is_rejected(field, value):
         ForwardingMatrix.from_json(data, t)
 
 
+def test_a_new_group_takes_an_id_past_every_loaded_one():
+    # Without group 0 the file's ids are 1..k: ``len(groups)`` is k, a live id.
+    t, _fw, data = stored("per-link")
+    first = data["groups"].pop(0)
+    for rule in data["rules"]:
+        if rule["action"] == {"type": "group", "id": first["id"]}:
+            rule["action"] = first["buckets"][0]["action"]
+    loaded = ForwardingMatrix.from_json(data, t)
+    live = dict(loaded.groups)
+    group = live[max(live)]
+    ref = loaded.intern_group(group.node, group.buckets[::-1])
+    assert ref.group_id == max(live) + 1
+    assert {gid: loaded.groups[gid] for gid in live} == live
 
 
 def test_re_adding_an_equal_action_is_a_no_op():

@@ -35,7 +35,7 @@ from failover.topology import (
     unit_weights,
 )
 
-from conftest import oracle_corpus, path3, square, triangle, weighted_square
+from conftest import oracle_corpus, path3, square, weighted_square
 from oracles import AdjacencyView, all_to_all, brute_shortest, floyd_warshall, unseeded_tree
 
 
@@ -60,10 +60,9 @@ class TestShortestTree:
         # failing node 2, leaves the far side out of the tree, not an error.
         t = Topology(6, [Link(u, v, 1.0) for u, v in
                          ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5))])
-        primary = shortest_tree(t, 0)
         for cut, left in ((FailureScenario.link_down(2, 3), {0, 1, 2}),
                           (FailureScenario.node_down(2), {0, 1})):
-            tree = shortest_tree(t, 0, cut, primary=primary)
+            tree = shortest_tree(t, 0, cut)
             assert tree.dist.keys() == tree.paths.keys() == left
             assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, cut))
 
@@ -102,14 +101,6 @@ class TestShortestTree:
             assert dist[stop] == full.dist[stop]
             assert paths[stop] == full.paths[stop]
             assert all(paths[x] == full.paths[x] for x in paths)
-
-    def test_primary_is_keyword_only(self):
-        t = triangle()
-        primary = shortest_tree(t, 0)
-        cut = FailureScenario.link_down(0, 2)
-        assert shortest_tree(t, 0, cut, primary=primary).paths[2] == (0, 1, 2)
-        with pytest.raises(TypeError):
-            shortest_tree(t, 0, cut, primary)
 
     def test_matches_enumeration_oracle(self, corpus):
         for name, t in corpus[:9] + corpus[9:14]:  # named graphs + a few ER
@@ -280,11 +271,10 @@ def tree_fields(tree):
 def assert_seeded_equals_unseeded(t: Topology) -> None:
     """Every arc's link and node failure: the seeded tree equals the
     reference search field by field."""
-    trees = all_shortest_trees(t)
     for n in t.nodes:
         for m, _w, _l in t.neighbors(n):
             for scenario in (FailureScenario.link_down(n, m), FailureScenario.node_down(m)):
-                seeded = shortest_tree(t, n, scenario, primary=trees[n])
+                seeded = shortest_tree(t, n, scenario)
                 expected = unseeded_tree(t, n, scenario)
                 assert tree_fields(seeded) == tree_fields(expected), (n, str(scenario))
 
@@ -304,20 +294,27 @@ class TestSeededDetour:
         for t in SEEDED_CORPUS[name]():
             assert_seeded_equals_unseeded(t)
 
-    def test_primary_is_computed_when_not_given(self):
+    def test_seeds_from_the_shared_tree(self):
+        # A detour is seeded from the object's shared tree, built on first
+        # use; no caller hands in a tree of its own.
         t = generate_erdos_renyi(16, 5)
         primary = shortest_tree(t, 3)
         for scenario in (FailureScenario.link_down(3, primary.paths[9][1]),
                          FailureScenario.node_down(primary.paths[9][1])):
-            given_tree = shortest_tree(t, 3, scenario, primary=primary)
-            assert tree_fields(shortest_tree(t, 3, scenario)) == tree_fields(given_tree)
+            tree = shortest_tree(t, 3, scenario)
+            assert tree_fields(tree) == tree_fields(unseeded_tree(t, 3, scenario))
+        shared = t.shortest_paths().trees[3]
+        assert tree_fields(shared) == tree_fields(primary)
+        assert shortest_tree(t, 3, FailureScenario.node_down(99)) is shared
+        with pytest.raises(TypeError):
+            shortest_tree(t, 3, FailureScenario.node_down(9), primary=primary)
 
     def test_dead_node_settles_between_inherited_nodes(self):
         # Link 0-1 fails: node 1 is dead and comes back through 2 at 1.7,
         # between the inherited nodes 2 at 1.5 and 3 at 3.0.
         t = Topology(4, [Link(0, 1, 1.0), Link(0, 2, 1.5), Link(1, 2, 0.2), Link(0, 3, 3.0)])
         cut = FailureScenario.link_down(0, 1)
-        tree = shortest_tree(t, 0, cut, primary=shortest_tree(t, 0))
+        tree = shortest_tree(t, 0, cut)
         assert tree.paths == {0: (0,), 2: (0, 2), 1: (0, 2, 1), 3: (0, 3)}
         assert tree.dist[1] == 1.5 + 0.2
         assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, cut))
@@ -333,22 +330,22 @@ class TestSeededDetour:
         primary = shortest_tree(t, 0)
         assert primary.paths[4] == (0, 4)
         for scenario in (FailureScenario.link_down(0, 5), FailureScenario.node_down(5)):
-            tree = shortest_tree(t, 0, scenario, primary=primary)
+            tree = shortest_tree(t, 0, scenario)
             assert tree.paths[4] == (0, 1, 2, 3, 4)
             assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, scenario))
 
     def test_failures_the_tree_does_not_use(self):
         t = square()
-        primary = shortest_tree(t, 0)
+        primary = t.shortest_paths().trees[0]
         for scenario in (FailureScenario.link_down(2, 3),  # not a tree link of 0
                          FailureScenario.link_down(0, 2),  # no such link
                          FailureScenario.link_down(1, 9),  # no such node
                          FailureScenario.node_down(9)):
-            tree = shortest_tree(t, 0, scenario, primary=primary)
+            tree = shortest_tree(t, 0, scenario)
             assert tree is primary
             assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, scenario))
         # The source itself fails: it is all that is left.
-        tree = shortest_tree(t, 0, FailureScenario.node_down(0), primary=primary)
+        tree = shortest_tree(t, 0, FailureScenario.node_down(0))
         assert tree.paths == {0: (0,)}
         assert tree_fields(tree) == tree_fields(unseeded_tree(t, 0, FailureScenario.node_down(0)))
 

@@ -115,8 +115,9 @@ def test_a_matrix_holds_one_group_ref_per_group(variant, optimized):
         for gid, (ref_id,) in objects.items():
             assert id(matrix.group_refs[gid]) == ref_id
         # A later intern of an existing group hands out the same object.
-        group = matrix.groups[min(matrix.groups)]
-        assert id(matrix.intern_group(group.node, group.buckets)) in objects[group.group_id]
+        gid = min(matrix.groups)
+        group = matrix.groups[gid]
+        assert id(matrix.intern_group(group.node, group.buckets)) in objects[gid]
 
 
 def test_link_normalises_its_endpoints():
