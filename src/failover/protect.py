@@ -92,8 +92,10 @@ class _Build:
     upgrade_rules: list[tuple[int, int, int, object, Link]] = field(default_factory=list)
     # hybrid only: extra node-family targets per detecting arc (node, v)
     upgrade_targets: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    # hybrid only: node-family first hops, (detector, v, dst) -> link or None
-    node_first_hop: dict[tuple[int, int, int], Optional[Link]] = field(default_factory=dict)
+    # hybrid only: node-family first hops, (detector, v) -> {dst: link or None}
+    node_first_hop: dict[tuple[int, int], dict[int, Optional[Link]]] = field(
+        default_factory=dict
+    )
 
 
 def per_link_rules(t: Topology, *, install_pops: bool = True) -> ForwardingMatrix:
@@ -183,6 +185,7 @@ def _install_family(ctx: _Build, family: str, hybrid: bool) -> int:
             # the complexity budget is exactly |N| + 2·|links| invocations.
             tree = shortest_tree(t, n, scenario)
             detours += 1
+            first_hops: dict[int, Optional[Link]] = {}
             for d in sorted(targets):
                 if family == _NODE and d == m:
                     detour = None
@@ -193,9 +196,7 @@ def _install_family(ctx: _Build, family: str, hybrid: bool) -> int:
                 else:
                     detour = None
                     reason = "no_detour"
-                first = None if detour is None else t.link_between(n, detour[1])
-                if hybrid and family == _NODE:
-                    ctx.node_first_hop[n, m, d] = first
+                first_hops[d] = None if detour is None else t.link_between(n, detour[1])
                 owns_group = d in base_targets and not (hybrid and family == _NODE)
                 if owns_group:
                     bucket1 = Bucket(link, Output(link))
@@ -203,6 +204,7 @@ def _install_family(ctx: _Build, family: str, hybrid: bool) -> int:
                         bucket2 = Bucket(None, Drop())
                         fw.uncovered.append(UncoveredEntry(str(scenario), n, d, reason))
                     else:
+                        first = first_hops[d]
                         bucket2 = Bucket(first, PushLabelOutput(label, first))
                     fw.set_rule(n, Match(PRIMARY, d), fw.intern_group(n, (bucket1, bucket2)))
                 elif detour is None and d in base_targets and reason == "no_detour":
@@ -212,6 +214,8 @@ def _install_family(ctx: _Build, family: str, hybrid: bool) -> int:
                 if detour is None:
                     continue
                 _install_detour_rules(ctx, family, hybrid, label, match_label, link, m, d, detour)
+            if hybrid and family == _NODE:
+                ctx.node_first_hop[(n, m)] = first_hops
     return detours
 
 
@@ -292,7 +296,7 @@ def _install_upgrade_groups(ctx: _Build) -> None:
     fw = ctx.fw
     for w_node, v, d, label, out in ctx.upgrade_rules:
         bucket1 = Bucket(out, Output(out))
-        first = ctx.node_first_hop.get((w_node, v, d))
+        first = ctx.node_first_hop.get((w_node, v), {}).get(d)
         if d == v:
             bucket2 = Bucket(None, Drop())
             fw.uncovered.append(
