@@ -20,10 +20,12 @@ A trace ends delivered, dropped (explicit drop, no matching rule, or the
 selected output link is dead; packets never traverse dead links), or
 loop-detected when the ``(node, label, incoming link)`` state repeats.
 Loops indicate a rule-computation bug and are reported as their own class.
-A malformed matrix never makes the walk raise: a group that is not defined,
-a group inside another group's bucket, and an output link that does not
-touch the node each end the packet as dropped, with a reason naming the
-fault.
+A malformed matrix never makes the reference walk raise: a group that is
+not defined, a group inside another group's bucket, an output link that does
+not touch the node and one that leads outside ``0..n-1`` each end the packet
+as dropped, with a reason naming the fault.  :func:`compile_matrix` compiles
+the first three to the same drops but refuses the last, and a rule naming a
+node outside ``0..n-1``, with ``ValueError``.
 
 ``simulate`` walks either matrix form.  On a :class:`ForwardingMatrix` it is
 the reference walk over ``Match`` keys, used for single packets.  On a
@@ -76,6 +78,7 @@ from .rules import (
     PushLabelOutput,
     RewriteLabelOutput,
     check_matrix_size,
+    node_outside,
 )
 from .topology import FailureScenario, Link, Topology
 
@@ -97,7 +100,6 @@ class TraceStep(NamedTuple):
 @dataclass
 class Trace:
     src: int
-    dst: int
     steps: list[TraceStep] = field(default_factory=list)
     outcome: str = DROPPED
     reason: str = ""
@@ -163,7 +165,7 @@ def simulate(
         raise ValueError("source and destination must differ")
     if isinstance(fw, ForwardingMatrix):
         check_matrix_size(fw.n, t)
-    trace = Trace(src, dst)
+    trace = Trace(src)
     if not scenario.node_is_live(src):
         trace.reason = "source is the failed node"
         return trace
@@ -232,6 +234,9 @@ def simulate(
         if node != out.u and node != out.v:
             trace.reason = f"output link {out} does not touch node {node}"
             return trace
+        if out.u < 0 or out.v >= fw.n:
+            trace.reason = f"output link {out} leads outside 0..{fw.n - 1}"
+            return trace
         trace.steps.append(TraceStep(node, label, out))
         trace.total_weight += out.weight
         in_link = out
@@ -256,35 +261,34 @@ _pair_of = itemgetter(5)
 class CompiledMatrix:
     """A :class:`ForwardingMatrix` with labels and links interned to ints.
 
-    ``tables[node]`` holds one entry per rule.  A rule on ``(label, dst)``
-    is keyed ``label_id * n_nodes + dst``; a rule that also keys on source or
-    incoming link is keyed ``-1 - ((label_id * n_nodes + dst) * n_nodes +
-    src) * n_in - (in_link_id + 1)``, ``in_link_id`` -1 for none, so the two
-    kinds never collide.  ``keyed[node]`` says whether the node has a rule
-    of the second kind.  ``fallbacks[label_id]`` are the label ids of the
-    wildcard and primary tiers of a packet carrying that label.  Link
-    liveness is decided on ``pair_id`` (one per node pair) and endpoints.
-    Built by :func:`compile_matrix` as a snapshot: it holds no reference to
-    the matrix, and a matrix changed later has to be compiled again.
+    ``tables[node]`` holds the node's rules on ``(label, dst)``, each keyed
+    ``label_id * n + dst``.  ``keyed[node]`` holds its rules that also key on
+    source or incoming link, keyed ``(label_id, dst, src, in_link_id)`` with
+    ``in_link_id`` -1 for none, or is None when the node has no such rule.
+    ``fallbacks[label_id]`` are the label ids of the wildcard and primary
+    tiers of a packet carrying that label.  Link liveness is decided on
+    ``pair_id`` (one per node pair) and endpoints.  Built by
+    :func:`compile_matrix` as a snapshot: it holds no reference to the
+    matrix, and a matrix changed later has to be compiled again.
 
     Every compiled matrix is walked by :func:`walk`.  ``memo`` holds the
-    walks toward one destination (see the module docstring); the walk
-    reads and fills it only when ``memoizable``, that is when no node is
-    keyed, and otherwise leaves it empty.  It is replaced as a whole, so a
+    walks toward one destination (see the module docstring); the walk reads
+    and fills it only when ``memoizable``, that is when every ``keyed[node]``
+    is None, and otherwise leaves it empty.  It is replaced as a whole, so a
     walk that started with it keeps a memo of its own destination even if
     another thread replaces it.
     """
 
-    __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n_nodes", "n_in",
+    __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n", "n_in",
                  "memoizable", "memo")
 
-    def __init__(self, tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in):
+    def __init__(self, tables, keyed, labels, fallbacks, pair_ids, n, n_in):
         self.tables = tables
         self.keyed = keyed
         self.labels = labels
         self.fallbacks = fallbacks
         self.pair_ids = pair_ids
-        self.n_nodes = n_nodes  # bound on every node id in a rule key
+        self.n = n  # the matrix's node count, which bounds every node id in a rule
         self.n_in = n_in  # number of link ids plus one
         self.memoizable = not any(keyed)
         # (dst, {(dead_pair, dead_node): {node * n_labels + label: (walk,
@@ -301,18 +305,17 @@ _DROP_ACTION = (_DROP, "drop rule")
 def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
     """Intern ``fw``'s labels and links and compile every rule and group once.
 
-    One pass over the rules interns each rule's label and incoming link and
-    compiles its action, leaving a row per rule; the int keys are computed
-    from the rows afterwards, because their radices (the node bound and the
-    link count) are final only once every rule, action and group bucket is
-    interned.  Links of ``t`` take the first link ids, in ``t.links`` order.
-    A group that is not defined, or nested in a bucket, compiles to a drop
-    with the reason the reference walk gives when a packet reaches it.  Node
-    ids in rule keys must be non-negative ints, as in every
-    :class:`Topology`.  A matrix for another node count than ``t``'s raises
+    One pass over the rules interns each rule's label and incoming link,
+    compiles its action and files it under its key (see
+    :class:`CompiledMatrix`).  Links of ``t`` take the first link ids, in
+    ``t.links`` order.  A group that is not defined, or nested in a bucket,
+    compiles to a drop with the reason the reference walk gives when a packet
+    reaches it.  A matrix for another node count than ``t``'s, a rule naming
+    a node outside ``0..n-1`` and an output link with an end outside it raise
     ``ValueError``.
     """
     check_matrix_size(fw.n, t)
+    n = fw.n
     label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
     labels: list[FailureLabel] = [PRIMARY]
     link_ids: dict[Link, int] = {}
@@ -380,49 +383,36 @@ def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
         lid = link_id(link)
         compiled = compiled_forwards.get((new_label, lid))
         if compiled is None:
+            if link.u < 0 or link.v >= n:
+                raise ValueError(f"output link {link} leads outside 0..{n - 1}")
             compiled = compiled_forwards[new_label, lid] = (
                 _FORWARD, new_label, link, link.weight, lid, link_pairs[lid], link.u, link.v)
         return compiled
 
-    n_nodes = 1
-    rows: list[list[tuple]] = []
-    for table in fw.tables:
-        node_rows = []
-        rows.append(node_rows)
+    nodes = range(n)
+    tables: list[dict[int, tuple]] = []
+    keyed: list[Optional[dict[tuple[int, int, int, int], tuple]]] = []
+    for node, table in enumerate(fw.tables):
+        compiled_table: dict[int, tuple] = {}
+        node_keyed: dict[tuple[int, int, int, int], tuple] = {}
         for match, action in table.items():
+            in_link, src, dst = match.in_link, match.src, match.dst
+            if dst not in nodes or (src is not None and src not in nodes):
+                raise node_outside(node, n, match)
             lid = label_id(match.label)
-            in_link, src = match.in_link, match.src
-            in_key = 0 if in_link is None else link_id(in_link) + 1
+            in_id = -1 if in_link is None else link_id(in_link)
             compiled = (group_of(action.group_id) if isinstance(action, GroupRef)
                         else action_of(action))
-            dst = match.dst
-            if dst >= n_nodes:
-                n_nodes = dst + 1
-            if src is None:
-                if in_key:
-                    continue  # an incoming link without a source never matches
-            elif src >= n_nodes:
-                n_nodes = src + 1
-            node_rows.append((lid, dst, src, in_key, compiled))
-    n_in = len(link_pairs) + 1
-    tables: list[dict[int, tuple]] = []
-    keyed: list[bool] = []
-    for node_rows in rows:
-        compiled_table: dict[int, tuple] = {}
-        node_keyed = False
-        for lid, dst, src, in_key, compiled in node_rows:
-            base = lid * n_nodes + dst
-            if src is None:
-                compiled_table[base] = compiled
-            else:
-                node_keyed = True
-                compiled_table[-1 - (base * n_nodes + src) * n_in - in_key] = compiled
+            if src is not None:
+                node_keyed[lid, dst, src, in_id] = compiled
+            elif in_link is None:  # an incoming link without a source never matches
+                compiled_table[lid * n + dst] = compiled
         tables.append(compiled_table)
-        keyed.append(node_keyed)
+        keyed.append(node_keyed or None)
 
     fallbacks = [tuple(label_ids[tier] for tier in label.fallbacks() if tier in label_ids)
                  for label in labels]
-    return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n_nodes, n_in)
+    return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n, len(link_pairs) + 1)
 
 
 def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
@@ -446,13 +436,12 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
         if memo is None:
             memo = by_scenario[dead_pair, dead_node] = {}
     tables, keyed, fallbacks = cm.tables, cm.keyed, cm.fallbacks
-    n_nodes, n_in = cm.n_nodes, cm.n_in
+    n, n_in = cm.n, cm.n_in
     n_labels = len(cm.labels)
-    # No rule key holds a node id outside [0, n_nodes).  Such a destination
-    # gets a stand-in that puts every probe past all rule keys, and such a
-    # source skips the keyed probes, so that no probe aliases another key.
-    dst_key = dst if 0 <= dst < n_nodes else n_labels * n_nodes
-    src_keyed = memo is None and 0 <= src < n_nodes
+    # No rule names a node outside [0, n).  Such a destination gets a
+    # stand-in that puts every int probe past all rule keys, so that no probe
+    # aliases another key.
+    dst_key = dst if 0 <= dst < n else n_labels * n
     hops: list[tuple] = []
     keys: list[int] = []  # node * n_labels + label of each state walked, with a memo
     seen: set[int] = set()
@@ -476,18 +465,17 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
             break
         seen.add(state)
         table = tables[node]
-        base = label * n_nodes + dst_key
+        node_keyed = keyed[node]
         action = None
-        if src_keyed and keyed[node]:
-            probe = -1 - (base * n_nodes + src) * n_in
-            action = table.get(probe - in_link - 1)
+        if node_keyed is not None:
+            action = node_keyed.get((label, dst, src, in_link))
             if action is None and in_link >= 0:
-                action = table.get(probe)
+                action = node_keyed.get((label, dst, src, -1))
         if action is None:
-            action = table.get(base)
+            action = table.get(label * n + dst_key)
             if action is None:
                 for tier in fallbacks[label]:
-                    action = table.get(tier * n_nodes + dst_key)
+                    action = table.get(tier * n + dst_key)
                     if action is not None:
                         break
                 else:

@@ -351,6 +351,7 @@ class ForwardingMatrix:
         nodes = range(self.n)
         # Per node, the destinations it has a primary rule for.
         reached: list[set[int]] = []
+        referenced: set[int] = set()
         for node, table in enumerate(self.tables):
             dsts = set()
             reached.append(dsts)
@@ -358,8 +359,7 @@ class ForwardingMatrix:
                 if type(match.dst) is not int or match.dst not in nodes or (
                     match.src is not None and (type(match.src) is not int or match.src not in nodes)
                 ):
-                    raise ValueError(f"rule at node {node} names a node outside 0..{self.n - 1}: "
-                                     f"{match}")
+                    raise node_outside(node, self.n, match)
                 primary = match.label.kind == "primary"
                 if primary and match.in_link is None and match.src in (None, node):
                     dsts.add(match.dst)
@@ -370,6 +370,7 @@ class ForwardingMatrix:
                         raise ValueError(f"unresolved group {action.group_id} at node {node}")
                     if group.node != node:
                         raise ValueError(f"node {node} references group of node {group.node}")
+                    referenced.add(action.group_id)
                     if action.group_id in pushing_groups and not primary:
                         raise ValueError(f"label push reachable from non-primary match at {node}")
                 elif kind in _LINK_ACTIONS:
@@ -394,6 +395,9 @@ class ForwardingMatrix:
             missing = every - dsts - {s}
             if missing:
                 raise ValueError(f"no primary rule at node {s} for destination {min(missing)}")
+        for gid, group in groups.items():
+            if gid not in referenced:
+                raise ValueError(f"group {gid} at node {group.node} is referenced by no rule")
 
     # -- serialization -----------------------------------------------------
 
@@ -548,6 +552,11 @@ def check_matrix_size(n: int, t: Topology) -> None:
     """Raise ``ValueError`` unless a matrix of ``n`` nodes fits ``t``."""
     if n != t.n:
         raise ValueError(f"matrix is for {n} nodes, topology has {t.n}")
+
+
+def node_outside(node: int, n: int, match: Match) -> ValueError:
+    """The error for a rule naming a node outside ``0..n-1``."""
+    return ValueError(f"rule at node {node} names a node outside 0..{n - 1}: {match}")
 
 
 def _first_repeat(items: Iterable):

@@ -12,6 +12,7 @@ interleaved; a matrix with keyed rules must keep no memo.
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 
@@ -288,6 +289,35 @@ def test_destinations_outside_the_matrix_match_no_rule(variant):
         trace = simulate(compiled, t, NO_FAILURE, src, dst)
         assert trace_key(trace) == trace_key(simulate(fw, t, NO_FAILURE, src, dst))
         assert (trace.outcome, trace.reason) == ("dropped", "no matching rule")
+
+
+@pytest.mark.parametrize("match", [Match(PRIMARY, 4), Match(PRIMARY, 2, 4, None),
+                                   Match(PRIMARY, -1)])
+def test_compile_refuses_a_rule_naming_a_node_outside_the_matrix(match):
+    # With the same text as ``validate()``.
+    t = square()
+    fw = _ring(t)
+    fw.set_rule(1, match, Output(t.link_between(1, 2)))
+    message = re.escape(f"rule at node 1 names a node outside 0..3: {match}")
+    for refuse in (fw.validate, lambda: compile_matrix(fw, t)):
+        with pytest.raises(ValueError, match=message):
+            refuse()
+
+
+@pytest.mark.parametrize("far", [50, -1])
+def test_output_link_leading_outside_the_matrix(far):
+    # The reference walk drops the packet at node 1, which would send it
+    # there; the compile refuses the link.
+    t = square()
+    fw = _ring(t)
+    out = Link(1, far, 1.0)
+    fw.set_rule(1, Match(PRIMARY, 2), Output(out))
+    reason = f"output link {out} leads outside 0..3"
+    trace = simulate(fw, t, NO_FAILURE, 0, 2)
+    assert (trace.outcome, trace.reason, trace.node_sequence, trace.total_weight) == (
+        "dropped", reason, (0,), 1.0)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        compile_matrix(fw, t)
 
 
 PROTECTION_VARIANTS = ("per-link", "per-node", "hybrid")

@@ -139,7 +139,7 @@ class TestCrankback:
             TraceStep(4, PRIMARY, l43),
             TraceStep(3, PRIMARY, None),
         ]
-        trace = Trace(0, 3, steps=steps, outcome="delivered")
+        trace = Trace(0, steps=steps, outcome="delivered")
         assert crankback_of(trace) == 2.0
 
 

@@ -88,6 +88,16 @@ def _string_group_node(t, data):
                                node=str(data["groups"][0]["node"])))
 
 
+def _unreferenced_group(t, data):
+    # A copy of a live group under an id no rule names.
+    data["groups"].append(dict(data["groups"][0], id=10**6))
+
+
+def _unreferenced_group_outside(t, data):
+    drop = {"watch": None, "action": {"type": "drop"}}
+    data["groups"].append({"id": 500, "node": 99, "buckets": [drop, drop]})
+
+
 SPOILERS = [
     (_wrong_n, "matrix is for 11 nodes, topology has 10"),
     (_absent_link, "absent from topology"),
@@ -99,6 +109,8 @@ SPOILERS = [
     (_repeated_group, "two groups with id"),
     (_string_group_id, "ids and nodes must be ints"),
     (_string_group_node, "ids and nodes must be ints"),
+    (_unreferenced_group, "group 1000000 at node .* is referenced by no rule"),
+    (_unreferenced_group_outside, "group 500 at node 99 is referenced by no rule"),
 ]
 
 # Rule fields set to a node outside 0..9, for a matrix of ``stored("disjoint-link")``.

@@ -7,14 +7,15 @@ one with ``git archive``).  Each run is a fresh process in one tree.  It
 generates the workload's topologies with that tree's
 ``perfbench/workloads.py`` (imported, never changed) and times, with
 ``time.process_time``, every call of the chosen operation on them:
-``metrics.build_variant`` (``--op build``, each topology a fresh object, so
-the first build also computes its shared shortest-path trees, as in the
-benchmark) or ``metrics.measure`` of the matrices built untimed before it
-(``--op measure``).  A run keeps each variant's smallest time over
+``metrics.build_variant`` (``--op build``) or ``metrics.measure`` of the
+matrices built untimed before it (``--op measure``).  Each topology is a
+fresh object whose shared shortest-path trees are computed before its first
+variant, so no variant's time carries them; ``--op build`` times that call
+as its own row, ``trees``.  A run keeps each row's smallest time over
 ``REPEATS`` passes, summed over the topologies.
 
 Runs come in ``PAIRS`` pairs, the side that goes first alternating from
-pair to pair.  The tool prints, per variant and for their sum, each side's
+pair to pair.  The tool prints, per row and for their sum, each side's
 median CPU seconds, the ratio change/parent of the medians and the number
 of pairs in which the change was faster (ties count for neither side), and
 last one JSON line with the same figures.  CPU time is blind to what other
@@ -34,10 +35,10 @@ from pathlib import Path
 
 OPS = ("build", "measure")
 PAIRS = 5
-REPEATS = 2  # passes per run; each variant keeps its fastest
+REPEATS = 2  # passes per run; each row keeps its fastest
 
 # Runs in a fresh process in the root of a source tree; argv: workload,
-# seed, op, repeats.  Prints one JSON object {variant: seconds}.
+# seed, op, repeats.  Prints one JSON object {row: seconds}.
 CHILD = r"""
 import json, sys, time
 sys.path[:0] = ["perfbench", "src"]
@@ -49,11 +50,16 @@ workload, seed, op, repeats = sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sy
 plan = workloads.PLANS[workload]
 items = workloads.generate(plan, seed)
 network = workloads._GENERATORS[plan.generator][0]
+rows = (("trees",) if op == "build" else ()) + plan.variants
 best = {}
 for _ in range(repeats):
-    spent = dict.fromkeys(plan.variants, 0.0)
+    spent = dict.fromkeys(rows, 0.0)
     for item in items:
         t = Topology(item.topology.n, item.topology.links)
+        start = time.process_time()
+        t.shortest_paths()
+        if op == "build":
+            spent["trees"] += time.process_time() - start
         for variant in plan.variants:
             start = time.process_time()
             fw = metrics.build_variant(t, variant)
@@ -61,8 +67,8 @@ for _ in range(repeats):
                 start = time.process_time()
                 metrics.measure(fw, t, network)
             spent[variant] += time.process_time() - start
-    for variant, seconds in spent.items():
-        best[variant] = min(best.get(variant, seconds), seconds)
+    for row, seconds in spent.items():
+        best[row] = min(best.get(row, seconds), seconds)
 print(json.dumps(best))
 """
 
@@ -77,7 +83,7 @@ def run_once(root: Path, workload: str, seed: int, op: str) -> dict[str, float]:
 
 
 def summarise(runs: dict[str, list[dict[str, float]]]) -> dict[str, dict]:
-    """Per variant and for ``total``: each side's median, the ratio of the
+    """Per row and for ``total``: each side's median, the ratio of the
     medians and the pairs the change won."""
     for side in runs.values():
         for run in side:
@@ -113,7 +119,7 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
     summary = summarise(runs)
     print(f"{args.op} on {args.workload} seed {args.seed}: CPU s, median of {PAIRS} pairs")
-    print(f"{'variant':<14} {'parent':>8} {'change':>8} {'ratio':>7} {'wins':>6}")
+    print(f"{'row':<14} {'parent':>8} {'change':>8} {'ratio':>7} {'wins':>6}")
     for name, row in summary.items():
         print(f"{name:<14} {row['parent_s']:8.3f} {row['change_s']:8.3f} {row['ratio']:7.3f} "
               f"{row['change_wins']:>3}/{PAIRS}")
