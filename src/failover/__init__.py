@@ -7,7 +7,7 @@ from .baseline import (
     suurballe_link_disjoint,
     suurballe_node_disjoint,
 )
-from .dataplane import Trace, crankback_of, simulate
+from .dataplane import Trace, simulate
 from .metrics import (
     ExperimentConfig,
     ExperimentReport,

@@ -20,25 +20,30 @@ A trace ends delivered, dropped (explicit drop, no matching rule, or the
 selected output link is dead; packets never traverse dead links), or
 loop-detected when the ``(node, label, incoming link)`` state repeats.
 Loops indicate a rule-computation bug and are reported as their own class.
-A malformed matrix never makes the reference walk raise: a group that is
-not defined, a group inside another group's bucket, an output link that does
-not touch the node and one that leads outside ``0..n-1`` each end the packet
-as dropped, with a reason naming the fault.  :func:`compile_matrix` compiles
-the first three to the same drops but refuses the last, and a rule naming a
-node outside ``0..n-1``, with ``ValueError``.
 
-``simulate`` walks either matrix form.  On a :class:`ForwardingMatrix` it is
-the reference walk over ``Match`` keys, used for single packets.  On a
-:class:`CompiledMatrix` (see :func:`compile_matrix`) it runs :func:`walk`,
-one int-keyed walk that probes the same tiers in the same order, and builds
-the same trace from the compiled forward action of each hop the walk took:
-the label from the action's new label, the node from the link's endpoints.
-Only nodes with rules keyed on source or incoming link (the disjoint
-baselines) get the first-tier probes.  ``metrics.measure`` compiles each
-matrix once per call.  It traces every pair's no-failure path with
-``simulate`` and calls :func:`walk` for every failure on that path, since it
-reads only a failure walk's outcome, total and crankback: no ``Trace`` or
-``TraceStep`` is built for those.
+There is one walk, :func:`walk`, over a :class:`CompiledMatrix`: a matrix
+whose labels and links are interned to ints, a link's id being its index in
+``t.links``, and whose rules are keyed by ints.  :func:`compile_matrix`
+compiles every node up front, and ``metrics.measure`` does so once per
+call.  ``simulate`` on a :class:`ForwardingMatrix` compiles, on each node's
+first visit, only the rules its packet can match there: those toward its
+destination, from its source or from any.  That costs one packet far less
+than a whole compile.  Both go through the same per-node compile and give
+the same trace.  Only nodes with rules keyed on source or incoming link (the
+disjoint baselines) get the first-tier probes.
+
+A group that is not defined, a group inside another group's bucket and an
+output link that does not touch the node compile to drops, with a reason
+naming the fault.  A rule, bucket or watch naming a link that ``t`` lacks,
+and a rule naming a node outside ``0..n-1``, raise ``ValueError`` when
+compiled, so one-packet ``simulate`` refuses only those its walk compiles.
+
+``simulate`` builds the trace from the compiled forward action of each hop
+the walk took: the label from the action's new label, the node from the
+link's endpoints.  ``metrics.measure`` traces every pair's no-failure path
+with ``simulate`` and calls :func:`walk` for every failure on that path,
+since it reads only a failure walk's outcome, total and crankback: no
+``Trace`` or ``TraceStep`` is built for those.
 
 When no rule of a compiled matrix keys on source or incoming link (every
 protection matrix), the next hop under one scenario toward one destination
@@ -46,15 +51,15 @@ depends only on ``(node, label)``.  The compiled walk then remembers, per
 scenario, the hops of every delivered or dropped walk and the position of
 each state it passed, and a later walk that reaches such a state splices
 that suffix in instead of walking it.  A terminating suffix never revisits a
-state, so the spliced walk is the one the reference walk takes.  The memo
-covers one destination at a time (it is dropped when a call names another),
-so callers that walk destination by destination, as ``metrics.measure``
-does, reuse it most.  A matrix with keyed rules is walked in full and keeps
-no memo.
+state, so the spliced walk is the one a full walk takes.  The memo covers
+one destination at a time (it is dropped when a call names another), so
+callers that walk destination by destination, as ``metrics.measure`` does,
+reuse it most.  A matrix with keyed rules, and the matrix of a one-packet
+``simulate``, is walked in full and keeps no memo.
 
-Totals are summed left to right as the reference walk sums them, a spliced
-suffix too.  Crankback is counted after the walk, over the hops' int arc ids
-and weights, and only when a link is traversed twice; otherwise it is 0.0.
+Totals are summed left to right, hop by hop, a spliced suffix too.
+Crankback is counted after the walk, over the hops' int arc ids and weights,
+and only when a link is traversed twice; otherwise it is 0.0.
 """
 
 from __future__ import annotations
@@ -67,24 +72,16 @@ from typing import NamedTuple, Optional, Union
 
 from .rules import (
     Action,
-    Drop,
     FailureLabel,
     ForwardingMatrix,
     GroupRef,
-    Match,
-    Output,
     PRIMARY,
-    PopLabelOutput,
-    PushLabelOutput,
-    RewriteLabelOutput,
     check_matrix_size,
     node_outside,
 )
 from .topology import FailureScenario, Link, Topology
 
-__all__ = [
-    "TraceStep", "Trace", "CompiledMatrix", "compile_matrix", "simulate", "walk", "crankback_of",
-]
+__all__ = ["TraceStep", "Trace", "CompiledMatrix", "compile_matrix", "simulate", "walk"]
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -126,26 +123,6 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _lookup(fw: ForwardingMatrix, node: int, label: FailureLabel, dst: int,
-            src: int, in_link: Optional[Link]) -> Optional[Action]:
-    table = fw.tables[node]
-    action = table.get(Match(label, dst, src, in_link))
-    if action is not None:
-        return action
-    if in_link is not None:
-        action = table.get(Match(label, dst, src, None))
-        if action is not None:
-            return action
-    action = table.get(Match(label, dst))
-    if action is not None:
-        return action
-    for fallback in label.fallbacks():
-        action = table.get(Match(fallback, dst))
-        if action is not None:
-            return action
-    return None
-
-
 def simulate(
     fw: Union[ForwardingMatrix, CompiledMatrix],
     t: Topology,
@@ -155,107 +132,181 @@ def simulate(
 ) -> Trace:
     """Forward one packet from ``src`` to ``dst`` under ``scenario``.
 
-    ``fw`` is a :class:`ForwardingMatrix` (the reference walk) or the
-    :class:`CompiledMatrix` of one (the same trace, faster per hop).  A
-    scenario naming a link or node that ``t`` does not have kills nothing;
-    ``failover simulate`` rejects such a scenario before it gets here.  A
-    matrix for another node count than ``t``'s raises ``ValueError``.
+    ``fw`` is a :class:`ForwardingMatrix`, whose nodes are compiled for this
+    packet as the walk first reaches them, or the :class:`CompiledMatrix` of
+    one; both give the same trace.  A scenario naming a link or node that
+    ``t`` does not have kills nothing; ``failover simulate`` rejects such a
+    scenario before it gets here.  ``src == dst``, a source that is not a
+    node of ``t`` and a matrix for another node count than ``t``'s raise
+    ``ValueError``; a destination that is not a node matches no rule.
     """
     if src == dst:
         raise ValueError("source and destination must differ")
+    if not 0 <= src < t.n:
+        raise ValueError(f"node {src} is not in the topology (nodes 0..{t.n - 1})")
     if isinstance(fw, ForwardingMatrix):
-        check_matrix_size(fw.n, t)
+        compiler = _Compiler(fw, t)
+        keyed: dict[int, Optional[dict]] = {}
+        fw = CompiledMatrix(_Visited(compiler, src, dst, keyed), keyed, compiler, False)
     trace = Trace(src)
     if not scenario.node_is_live(src):
         trace.reason = "source is the failed node"
         return trace
-    if isinstance(fw, CompiledMatrix):
-        kind = scenario.kind
-        dead_pair = fw.pair_ids.get((scenario.u, scenario.v), -1) if kind == "link" else -1
-        dead_node = scenario.v if kind == "node" else None
-        trace.outcome, trace.reason, trace.total_weight, trace.crankback_weight, hops = walk(
-            fw, src, dst, dead_pair, dead_node)
-        # A step's label is the one its hop's action leaves; its node is the
-        # one the hop before it arrived at.
-        labels, steps = fw.labels, trace.steps
-        node, label = src, 0
-        for _, new_label, link, _, _, _, u, v in hops:
-            if new_label >= 0:
-                label = new_label
-            steps.append(TraceStep(node, labels[label], link))
-            node = u if node == v else v
-        if trace.delivered:
-            steps.append(TraceStep(node, labels[label], None))
-        return trace
-    node = src
-    label = PRIMARY
-    in_link: Optional[Link] = None
-    seen: set[tuple[int, FailureLabel, Optional[Link]]] = set()
-    while node != dst:
-        state = (node, label, in_link)
-        if state in seen:
-            trace.outcome = LOOP
-            trace.reason = "forwarding state repeated"
-            return trace
-        seen.add(state)
-        action = _lookup(fw, node, label, dst, src, in_link)
-        if action is None:
-            trace.reason = "no matching rule"
-            return trace
-        if isinstance(action, GroupRef):
-            entry = fw.groups.get(action.group_id)
-            if entry is None:
-                trace.reason = f"group {action.group_id} is not defined"
-                return trace
-            for watch, bucket_action in entry.buckets:
-                if watch is None or scenario.link_is_live(watch):
-                    action = bucket_action
-                    break
-            else:
-                trace.reason = "no live group bucket"
-                return trace
-            if isinstance(action, GroupRef):
-                trace.reason = f"group {action.group_id} is nested in a group bucket"
-                return trace
-        if isinstance(action, Drop):
-            trace.reason = "drop rule"
-            return trace
-        if isinstance(action, PushLabelOutput):
-            label, out = action.label, action.link
-        elif isinstance(action, PopLabelOutput):
-            label, out = PRIMARY, action.link
-        elif isinstance(action, RewriteLabelOutput):
-            label, out = action.label, action.link
-        else:
-            out = action.link
-        if not scenario.link_is_live(out):
-            trace.reason = f"output link {out} is dead"
-            return trace
-        if node != out.u and node != out.v:
-            trace.reason = f"output link {out} does not touch node {node}"
-            return trace
-        if out.u < 0 or out.v >= fw.n:
-            trace.reason = f"output link {out} leads outside 0..{fw.n - 1}"
-            return trace
-        trace.steps.append(TraceStep(node, label, out))
-        trace.total_weight += out.weight
-        in_link = out
-        node = out.other(node)
-    trace.steps.append(TraceStep(node, label, None))
-    trace.outcome = DELIVERED
-    trace.crankback_weight = crankback_of(trace)
+    kind = scenario.kind
+    dead_link = -1
+    if kind == "link" and 0 <= scenario.u < t.n:
+        dead_link = fw.link_ids.get(t.link_between(scenario.u, scenario.v), -1)
+    dead_node = scenario.v if kind == "node" else None
+    trace.outcome, trace.reason, trace.total_weight, trace.crankback_weight, hops = walk(
+        fw, src, dst, dead_link, dead_node)
+    # A step's label is the one its hop's action leaves; its node is the one
+    # the hop before it arrived at.
+    labels, steps = fw.labels, trace.steps
+    node, label = src, 0
+    for _, new_label, link, _, _, u, v in hops:
+        if new_label >= 0:
+            label = new_label
+        steps.append(TraceStep(node, labels[label], link))
+        node = u if node == v else v
+    if trace.delivered:
+        steps.append(TraceStep(node, labels[label], None))
     return trace
 
 
 # Compiled actions are tuples whose first item is their kind:
-#   (_FORWARD, label_id or -1 to keep the label, link, weight, link_id,
-#    pair_id, u, v)
-#   (_GROUP, buckets) with buckets of (watch_pair_id, watch_u, watch_v,
-#    compiled action), watch_pair_id None for a bucket that watches nothing
+#   (_FORWARD, label_id or -1 to keep the label, link, weight, link_id, u, v)
+#   (_GROUP, buckets) with buckets of (watch_link_id, watch_u, watch_v,
+#    compiled action), watch_link_id None for a bucket that watches nothing
 #   (_DROP, reason)
 _FORWARD, _GROUP, _DROP = range(3)
 _weight_of = itemgetter(3)
-_pair_of = itemgetter(5)
+_link_of = itemgetter(4)
+_DROP_ACTION = (_DROP, "drop rule")
+
+
+class _Compiler:
+    """Interns one matrix's labels and compiles its rules node by node, for
+    :func:`compile_matrix` and for the one-packet walk of :func:`simulate`.
+    It refers to nothing it compiled, so neither form holds a reference
+    cycle."""
+
+    __slots__ = ("fw", "n", "link_ids", "label_ids", "labels", "fallbacks", "forwards",
+                 "groups")
+
+    def __init__(self, fw: ForwardingMatrix, t: Topology):
+        check_matrix_size(fw.n, t)
+        self.fw = fw
+        self.n = fw.n
+        self.link_ids = dict(zip(t.links, range(len(t.links))))
+        self.label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
+        self.labels: list[FailureLabel] = [PRIMARY]
+        self.fallbacks: list[tuple[int, ...]] = []
+        # Compiled forwards by (new label id, link id): equal actions share one.
+        self.forwards: dict[tuple[int, int], tuple] = {}
+        self.groups: dict[int, tuple] = {}
+
+    def label_id(self, label: FailureLabel) -> int:
+        lid = self.label_ids.get(label)
+        if lid is None:
+            lid = self.label_ids[label] = len(self.labels)
+            self.labels.append(label)
+        return lid
+
+    def link_tiers(self) -> None:
+        """Set each label's ``fallbacks`` to the ids of its tiers interned so
+        far.  Once this has run after a node's compile, the walk may probe
+        that node: each tier with a rule there is interned by then."""
+        ids = self.label_ids
+        self.fallbacks[:] = [tuple(ids[tier] for tier in label.fallbacks() if tier in ids)
+                             for label in self.labels]
+
+    def link_id(self, link: Link) -> int:
+        lid = self.link_ids.get(link)
+        if lid is None:
+            raise ValueError(f"matrix link {link} is not a link of the topology")
+        return lid
+
+    def node(self, node: int, rules) -> tuple[dict[int, tuple], Optional[dict]]:
+        """``rules``, the ``(match, action)`` items of ``node``, as its
+        table and its keyed dict (None when empty; see :class:`CompiledMatrix`)."""
+        n = self.n
+        nodes = range(n)
+        label_id, link_id, group, action_of = self.label_id, self.link_id, self.group, self.action
+        table: dict[int, tuple] = {}
+        keyed: dict[tuple[int, int, int, int], tuple] = {}
+        for match, action in rules:
+            in_link, src, dst = match.in_link, match.src, match.dst
+            if dst not in nodes or (src is not None and src not in nodes):
+                raise node_outside(node, n, match)
+            lid = label_id(match.label)
+            in_id = -1 if in_link is None else link_id(in_link)
+            compiled = group(action.group_id) if isinstance(action, GroupRef) else action_of(action)
+            if src is not None:
+                keyed[lid, dst, src, in_id] = compiled
+            elif in_link is None:  # an incoming link without a source never matches
+                table[lid * n + dst] = compiled
+        return table, keyed or None
+
+    def group(self, group_id: int) -> tuple:
+        """A rule's group; one that is not defined compiles to a drop."""
+        compiled = self.groups.get(group_id)
+        if compiled is None:
+            entry = self.fw.groups.get(group_id)
+            if entry is None:
+                compiled = (_DROP, f"group {group_id} is not defined")
+            else:
+                buckets = []
+                for watch, bucket_action in entry.buckets:
+                    bucket = self.action(bucket_action)
+                    if watch is None:
+                        buckets.append((None, None, None, bucket))
+                    else:
+                        buckets.append((self.link_id(watch), watch.u, watch.v, bucket))
+                compiled = (_GROUP, tuple(buckets))
+            self.groups[group_id] = compiled
+        return compiled
+
+    def action(self, action: Action) -> tuple:
+        """A rule's or bucket's action, except a rule's group reference."""
+        kind = action.kind
+        if kind == "output":
+            new_label = -1
+        elif kind == "pop":
+            new_label = 0
+        elif kind == "group":
+            return (_DROP, f"group {action.group_id} is nested in a group bucket")
+        elif kind == "drop":
+            return _DROP_ACTION
+        else:  # "push" or "rewrite"
+            new_label = self.label_id(action.label)
+        link = action.link
+        lid = self.link_id(link)
+        compiled = self.forwards.get((new_label, lid))
+        if compiled is None:
+            compiled = self.forwards[new_label, lid] = (
+                _FORWARD, new_label, link, link.weight, lid, link.u, link.v)
+        return compiled
+
+
+class _Visited(dict):
+    """The ``tables`` of one packet's walk from ``src`` to ``dst``.  On a
+    node's first visit its table is compiled from the rules the packet can
+    match there, those toward ``dst`` from ``src`` or from any source, and
+    its keyed dict goes into ``keyed``, which the walk reads next."""
+
+    __slots__ = ("compiler", "src", "dst", "keyed")
+
+    def __init__(self, compiler: _Compiler, src: int, dst: int, keyed: dict):
+        self.compiler, self.src, self.dst, self.keyed = compiler, src, dst, keyed
+
+    def __missing__(self, node: int) -> dict[int, tuple]:
+        compiler, src, dst = self.compiler, self.src, self.dst
+        table, self.keyed[node] = compiler.node(node, [
+            (m, a) for m, a in compiler.fw.tables[node].items()
+            if m.dst == dst and m.src in (None, src)])
+        compiler.link_tiers()
+        self[node] = table
+        return table
 
 
 class CompiledMatrix:
@@ -266,184 +317,87 @@ class CompiledMatrix:
     source or incoming link, keyed ``(label_id, dst, src, in_link_id)`` with
     ``in_link_id`` -1 for none, or is None when the node has no such rule.
     ``fallbacks[label_id]`` are the label ids of the wildcard and primary
-    tiers of a packet carrying that label.  Link liveness is decided on
-    ``pair_id`` (one per node pair) and endpoints.  Built by
-    :func:`compile_matrix` as a snapshot: it holds no reference to the
-    matrix, and a matrix changed later has to be compiled again.
+    tiers of a packet carrying that label.  ``link_ids`` maps each link of
+    the topology to its id, its index in ``t.links``; link liveness is
+    decided on that id and the endpoints.
 
-    Every compiled matrix is walked by :func:`walk`.  ``memo`` holds the
-    walks toward one destination (see the module docstring); the walk reads
-    and fills it only when ``memoizable``, that is when every ``keyed[node]``
-    is None, and otherwise leaves it empty.  It is replaced as a whole, so a
+    :func:`compile_matrix` builds one with every node compiled, as a
+    snapshot: it holds no reference to the matrix, and a matrix changed
+    later has to be compiled again.  :func:`simulate` builds one per packet
+    whose ``tables`` and ``keyed`` fill as its walk reaches nodes.  Either is
+    walked by :func:`walk`.  ``memo`` holds the walks toward one destination
+    (see the module docstring); the walk reads and fills it only when
+    ``memoizable``, that is when every node of an eager compile has no keyed
+    rule, and otherwise leaves it empty.  It is replaced as a whole, so a
     walk that started with it keeps a memo of its own destination even if
     another thread replaces it.
     """
 
-    __slots__ = ("tables", "keyed", "labels", "fallbacks", "pair_ids", "n", "n_in",
+    __slots__ = ("tables", "keyed", "labels", "fallbacks", "link_ids", "n", "n_in",
                  "memoizable", "memo")
 
-    def __init__(self, tables, keyed, labels, fallbacks, pair_ids, n, n_in):
+    def __init__(self, tables, keyed, compiler: _Compiler, memoizable: bool):
         self.tables = tables
         self.keyed = keyed
-        self.labels = labels
-        self.fallbacks = fallbacks
-        self.pair_ids = pair_ids
-        self.n = n  # the matrix's node count, which bounds every node id in a rule
-        self.n_in = n_in  # number of link ids plus one
-        self.memoizable = not any(keyed)
-        # (dst, {(dead_pair, dead_node): {node * n_labels + label: (walk,
-        # index)}}), walk = (hops, outcome, reason) of one whole walk, hops
-        # its compiled forward actions, and index the position of that state
-        # in it.  No trace step is kept: ``simulate`` rebuilds its steps from
-        # the hops.
+        self.labels = compiler.labels
+        self.fallbacks = compiler.fallbacks
+        self.link_ids = compiler.link_ids
+        self.n = compiler.n  # the matrix's node count, which bounds every node id in a rule
+        self.n_in = len(compiler.link_ids) + 1  # number of link ids plus one
+        self.memoizable = memoizable
+        # (dst, {(dead_link, dead_node): {label * n + node: (walk, index)}}),
+        # walk = (hops, outcome, reason) of one whole walk, hops its compiled
+        # forward actions, and index the position of that state in it.  No
+        # trace step is kept: ``simulate`` rebuilds its steps from the hops.
         self.memo: tuple[Optional[int], dict] = (None, {})
 
 
-_DROP_ACTION = (_DROP, "drop rule")
-
-
 def compile_matrix(fw: ForwardingMatrix, t: Topology) -> CompiledMatrix:
-    """Intern ``fw``'s labels and links and compile every rule and group once.
+    """Intern ``fw``'s labels and compile every rule and group once.
 
-    One pass over the rules interns each rule's label and incoming link,
+    One pass over the rules, node by node, interns each rule's label,
     compiles its action and files it under its key (see
-    :class:`CompiledMatrix`).  Links of ``t`` take the first link ids, in
-    ``t.links`` order.  A group that is not defined, or nested in a bucket,
-    compiles to a drop with the reason the reference walk gives when a packet
+    :class:`CompiledMatrix`).  A group that is not defined, or nested in a
+    bucket, compiles to a drop with the reason the walk gives when a packet
     reaches it.  A matrix for another node count than ``t``'s, a rule naming
-    a node outside ``0..n-1`` and an output link with an end outside it raise
+    a node outside ``0..n-1`` and a link that is not one of ``t``'s raise
     ``ValueError``.
     """
-    check_matrix_size(fw.n, t)
-    n = fw.n
-    label_ids: dict[FailureLabel, int] = {PRIMARY: 0}
-    labels: list[FailureLabel] = [PRIMARY]
-    link_ids: dict[Link, int] = {}
-    pair_ids: dict[tuple[int, int], int] = {}
-    link_pairs: list[int] = []
-
-    def label_id(label: FailureLabel) -> int:
-        lid = label_ids.get(label)
-        if lid is None:
-            lid = label_ids[label] = len(labels)
-            labels.append(label)
-        return lid
-
-    def link_id(link: Link) -> int:
-        lid = link_ids.get(link)
-        if lid is None:
-            lid = link_ids[link] = len(link_pairs)
-            link_pairs.append(pair_ids.setdefault(link.pair, len(pair_ids)))
-        return lid
-
-    for link in t.links:
-        link_id(link)
-
-    # Compiled forwards by (new label id, link id): equal actions share one.
-    compiled_forwards: dict[tuple[int, int], tuple] = {}
-    compiled_groups: dict[int, tuple] = {}
-
-    # ``group_of`` calls ``action_of`` and not the other way round: two
-    # closures that call each other form a reference cycle, which keeps
-    # ``fw`` and every table below alive until the next collection.
-    def group_of(group_id: int) -> tuple:
-        compiled = compiled_groups.get(group_id)
-        if compiled is None:
-            entry = fw.groups.get(group_id)
-            if entry is None:
-                compiled = (_DROP, f"group {group_id} is not defined")
-            else:
-                buckets = []
-                for watch, bucket_action in entry.buckets:
-                    compiled_bucket = action_of(bucket_action)
-                    if watch is None:
-                        buckets.append((None, None, None, compiled_bucket))
-                    else:
-                        buckets.append(
-                            (link_pairs[link_id(watch)], watch.u, watch.v, compiled_bucket))
-                compiled = (_GROUP, tuple(buckets))
-            compiled_groups[group_id] = compiled
-        return compiled
-
-    def action_of(action: Action) -> tuple:
-        """A rule's or bucket's action, except a rule's group reference."""
-        if isinstance(action, Output):
-            return forward(-1, action.link)
-        if isinstance(action, GroupRef):
-            return (_DROP, f"group {action.group_id} is nested in a group bucket")
-        if isinstance(action, (PushLabelOutput, RewriteLabelOutput)):
-            return forward(label_id(action.label), action.link)
-        if isinstance(action, PopLabelOutput):
-            return forward(0, action.link)
-        if isinstance(action, Drop):
-            return _DROP_ACTION
-        return forward(-1, action.link)
-
-    def forward(new_label: int, link: Link) -> tuple:
-        lid = link_id(link)
-        compiled = compiled_forwards.get((new_label, lid))
-        if compiled is None:
-            if link.u < 0 or link.v >= n:
-                raise ValueError(f"output link {link} leads outside 0..{n - 1}")
-            compiled = compiled_forwards[new_label, lid] = (
-                _FORWARD, new_label, link, link.weight, lid, link_pairs[lid], link.u, link.v)
-        return compiled
-
-    nodes = range(n)
-    tables: list[dict[int, tuple]] = []
-    keyed: list[Optional[dict[tuple[int, int, int, int], tuple]]] = []
-    for node, table in enumerate(fw.tables):
-        compiled_table: dict[int, tuple] = {}
-        node_keyed: dict[tuple[int, int, int, int], tuple] = {}
-        for match, action in table.items():
-            in_link, src, dst = match.in_link, match.src, match.dst
-            if dst not in nodes or (src is not None and src not in nodes):
-                raise node_outside(node, n, match)
-            lid = label_id(match.label)
-            in_id = -1 if in_link is None else link_id(in_link)
-            compiled = (group_of(action.group_id) if isinstance(action, GroupRef)
-                        else action_of(action))
-            if src is not None:
-                node_keyed[lid, dst, src, in_id] = compiled
-            elif in_link is None:  # an incoming link without a source never matches
-                compiled_table[lid * n + dst] = compiled
-        tables.append(compiled_table)
-        keyed.append(node_keyed or None)
-
-    fallbacks = [tuple(label_ids[tier] for tier in label.fallbacks() if tier in label_ids)
-                 for label in labels]
-    return CompiledMatrix(tables, keyed, labels, fallbacks, pair_ids, n, len(link_pairs) + 1)
+    compiler = _Compiler(fw, t)
+    compiled = [compiler.node(node, table.items()) for node, table in enumerate(fw.tables)]
+    compiler.link_tiers()
+    tables = [table for table, _ in compiled]
+    keyed = [node_keyed for _, node_keyed in compiled]
+    return CompiledMatrix(tables, keyed, compiler, not any(keyed))
 
 
-def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
+def walk(cm: CompiledMatrix, src: int, dst: int, dead_link: int,
          dead_node: Optional[int]) -> tuple[str, str, float, float, list[tuple]]:
-    """The reference walk of :func:`simulate` over a compiled matrix, with
-    liveness tested on ints: ``(outcome, reason, total, crankback, hops)``.
+    """The walk of one packet over a compiled matrix, with liveness tested
+    on ints: ``(outcome, reason, total, crankback, hops)``.
 
-    The failure kills the links of pair id ``dead_pair`` (-1 for none) and
-    every link at ``dead_node`` (None for none); ``src`` must be alive.
-    ``hops`` holds the compiled forward action of each hop taken, in order;
-    the caller must not change it, since the memo may share it.  On a
-    memoizable matrix the walk stops at the first state with a remembered
-    suffix and splices it in."""
+    The failure kills the link of id ``dead_link`` (-1 for none) and every
+    link at ``dead_node`` (None for none); ``src`` must be a live node of the
+    matrix.  A ``dst`` outside ``0..n-1`` matches no rule.  ``hops`` holds
+    the compiled forward action of each hop taken, in order; the caller must
+    not change it, since the memo may share it.  On a memoizable matrix the
+    walk stops at the first state with a remembered suffix and splices it
+    in."""
+    n, n_in = cm.n, cm.n_in
+    if not 0 <= dst < n:  # no rule names such a destination
+        return DROPPED, "no matching rule", 0.0, 0.0, []
     memo = None
     if cm.memoizable:
         memo_dst, by_scenario = cm.memo
         if memo_dst != dst:
             by_scenario = {}
             cm.memo = (dst, by_scenario)
-        memo = by_scenario.get((dead_pair, dead_node))
+        memo = by_scenario.get((dead_link, dead_node))
         if memo is None:
-            memo = by_scenario[dead_pair, dead_node] = {}
+            memo = by_scenario[dead_link, dead_node] = {}
     tables, keyed, fallbacks = cm.tables, cm.keyed, cm.fallbacks
-    n, n_in = cm.n, cm.n_in
-    n_labels = len(cm.labels)
-    # No rule names a node outside [0, n).  Such a destination gets a
-    # stand-in that puts every int probe past all rule keys, so that no probe
-    # aliases another key.
-    dst_key = dst if 0 <= dst < n else n_labels * n
     hops: list[tuple] = []
-    keys: list[int] = []  # node * n_labels + label of each state walked, with a memo
+    keys: list[int] = []  # label * n + node of each state walked, with a memo
     seen: set[int] = set()
     total = 0.0
     outcome, reason = DROPPED, ""
@@ -452,7 +406,8 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
     label = 0
     in_link = -1
     while node != dst:
-        key = node * n_labels + label
+        # Label first: a one-packet walk interns labels as it goes.
+        key = label * n + node
         if memo is not None:
             hit = memo.get(key)
             if hit is not None:
@@ -472,10 +427,10 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
             if action is None and in_link >= 0:
                 action = node_keyed.get((label, dst, src, -1))
         if action is None:
-            action = table.get(label * n + dst_key)
+            action = table.get(label * n + dst)
             if action is None:
                 for tier in fallbacks[label]:
-                    action = table.get(tier * n + dst_key)
+                    action = table.get(tier * n + dst)
                     if action is not None:
                         break
                 else:
@@ -485,7 +440,7 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
         if kind == _GROUP:
             for watch, watch_u, watch_v, bucket_action in action[1]:
                 if watch is None or (
-                    watch != dead_pair and watch_u != dead_node and watch_v != dead_node
+                    watch != dead_link and watch_u != dead_node and watch_v != dead_node
                 ):
                     action = bucket_action
                     break
@@ -496,10 +451,10 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
         if kind != _FORWARD:
             reason = action[1]
             break
-        _, new_label, link, weight, link_id, pair, u, v = action
+        _, new_label, link, weight, link_id, u, v = action
         if new_label >= 0:
             label = new_label
-        if pair == dead_pair or u == dead_node or v == dead_node:
+        if link_id == dead_link or u == dead_node or v == dead_node:
             reason = f"output link {link} is dead"
             break
         if node == u:
@@ -524,14 +479,14 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
         for index, key in enumerate(keys):
             memo[key] = (remembered, index)
     crankback = 0.0
-    if outcome == DELIVERED and len(set(map(_pair_of, hops))) < len(hops):
+    if outcome == DELIVERED and len(set(map(_link_of, hops))) < len(hops):
         # Crankback needs a link traversed twice.  Each hop that retraces an
         # earlier hop not yet retraced counts, summed left to right.  Arc ids
-        # are 2*pair_id leaving the lower endpoint, +1 leaving the higher.
+        # are 2*link_id leaving the lower endpoint, +1 leaving the higher.
         unmatched: list[int] = []
         node = src
-        for _, _, _, weight, _, pair, u, v in hops:
-            arc = 2 * pair + (node == v)
+        for _, _, _, weight, link_id, u, v in hops:
+            arc = 2 * link_id + (node == v)
             if arc ^ 1 in unmatched:
                 unmatched.remove(arc ^ 1)
                 crankback += weight
@@ -539,25 +494,3 @@ def walk(cm: CompiledMatrix, src: int, dst: int, dead_pair: int,
                 unmatched.append(arc)
             node = u if node == v else v
     return outcome, reason, total, crankback, hops
-
-
-def crankback_of(trace: Trace) -> float:
-    """Weight of the trace portion retracing earlier links in reverse.
-
-    Each reversed traversal consumes one matching earlier forward traversal,
-    so a link bounced twice counts twice.
-    """
-    unmatched: dict[tuple[int, int], int] = {}
-    total = 0.0
-    node = trace.src
-    for step in trace.steps:
-        if step.link is None:
-            break
-        nxt = step.link.other(node)
-        if unmatched.get((nxt, node), 0) > 0:
-            unmatched[(nxt, node)] -= 1
-            total += step.link.weight
-        else:
-            unmatched[(node, nxt)] = unmatched.get((node, nxt), 0) + 1
-        node = nxt
-    return total

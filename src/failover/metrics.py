@@ -110,7 +110,7 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
     check_positive_weights(t)
     trees = t.shortest_paths().trees
     compiled = compile_matrix(fw, t)
-    pair_ids = compiled.pair_ids
+    link_ids = compiled.link_ids
     node_failures = fw.mode in _NODE_FAILURE_MODES
     primary_ratios: list[float] = []
     backup_avgs: list[float] = []
@@ -135,17 +135,17 @@ def measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> Metri
                 uncovered += 1
                 continue
             primary_ratios.append(primary.total_weight / oracle)
-            # The failures on the primary path, as (dead pair id, dead node).
+            # The failures on the primary path, as (dead link id, dead node).
             if node_failures:
                 # Endpoints are excluded: the source is the sender and a
                 # failed destination is undeliverable by definition.
                 failures = [(-1, step.node) for step in primary.steps[1:-1]]
             else:
-                failures = [(pair_ids[step.link.pair], None) for step in primary.steps[:-1]]
+                failures = [(link_ids[step.link], None) for step in primary.steps[:-1]]
             pair_ratios: list[float] = []
             pair_cranks: list[float] = []
-            for dead_pair, dead_node in failures:
-                outcome, _, total, crankback, _ = walk(compiled, s, d, dead_pair, dead_node)
+            for dead_link, dead_node in failures:
+                outcome, _, total, crankback, _ = walk(compiled, s, d, dead_link, dead_node)
                 if outcome == DELIVERED:
                     pair_ratios.append(total / oracle)
                     pair_cranks.append(crankback / oracle)

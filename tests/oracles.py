@@ -7,8 +7,9 @@ a filtered view, itself validated against enumeration) and never touch the
 rule machinery or the seeded detour search they verify.  Second engines
 check the library's own: Floyd-Warshall for shortest distances, Bhandari's
 arc reversal for min-sum disjoint pairs, and an unseeded Suurballe search
-for the seeded second path.  ``reference_measure`` restates the evaluation
-metrics with the reference packet walk on the uncompiled matrix.
+for the seeded second path.  ``reference_simulate`` is the packet walk
+restated over ``Match`` keys, tier by tier, on the uncompiled matrix, and
+``reference_measure`` restates the evaluation metrics with it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,21 @@ from statistics import fmean
 from typing import Iterator, Optional
 
 from failover.baseline import DisjointPair
-from failover.dataplane import crankback_of, simulate
+from failover.dataplane import DELIVERED, LOOP, Trace, TraceStep
 from failover.metrics import MetricsRow
-from failover.rules import ForwardingMatrix
+from failover.rules import (
+    Action,
+    Drop,
+    FailureLabel,
+    ForwardingMatrix,
+    GroupRef,
+    Match,
+    PRIMARY,
+    PopLabelOutput,
+    PushLabelOutput,
+    RewriteLabelOutput,
+    check_matrix_size,
+)
 from failover.spf import (
     AffectedSets,
     ShortestPathTree,
@@ -390,6 +403,123 @@ class DetourOracle:
         return prim[: i - 1] + detour
 
 
+def _lookup(fw: ForwardingMatrix, node: int, label: FailureLabel, dst: int,
+            src: int, in_link: Optional[Link]) -> Optional[Action]:
+    table = fw.tables[node]
+    action = table.get(Match(label, dst, src, in_link))
+    if action is not None:
+        return action
+    if in_link is not None:
+        action = table.get(Match(label, dst, src, None))
+        if action is not None:
+            return action
+    action = table.get(Match(label, dst))
+    if action is not None:
+        return action
+    for fallback in label.fallbacks():
+        action = table.get(Match(fallback, dst))
+        if action is not None:
+            return action
+    return None
+
+
+def reference_simulate(fw: ForwardingMatrix, t: Topology, scenario: FailureScenario,
+                       src: int, dst: int) -> Trace:
+    """The reference for ``dataplane.simulate``: one packet walked over
+    ``fw``'s ``Match`` keys, tier by tier, with liveness asked of
+    ``scenario`` and the crankback recounted by ``crankback_of``.  A
+    malformed matrix never makes it raise: a group that is not defined, a
+    group nested in a bucket, an output link that does not touch the node
+    and one that leads outside ``0..n-1`` each drop the packet."""
+    if src == dst:
+        raise ValueError("source and destination must differ")
+    check_matrix_size(fw.n, t)
+    trace = Trace(src)
+    if not scenario.node_is_live(src):
+        trace.reason = "source is the failed node"
+        return trace
+    node = src
+    label = PRIMARY
+    in_link: Optional[Link] = None
+    seen: set[tuple[int, FailureLabel, Optional[Link]]] = set()
+    while node != dst:
+        state = (node, label, in_link)
+        if state in seen:
+            trace.outcome = LOOP
+            trace.reason = "forwarding state repeated"
+            return trace
+        seen.add(state)
+        action = _lookup(fw, node, label, dst, src, in_link)
+        if action is None:
+            trace.reason = "no matching rule"
+            return trace
+        if isinstance(action, GroupRef):
+            entry = fw.groups.get(action.group_id)
+            if entry is None:
+                trace.reason = f"group {action.group_id} is not defined"
+                return trace
+            for watch, bucket_action in entry.buckets:
+                if watch is None or scenario.link_is_live(watch):
+                    action = bucket_action
+                    break
+            else:
+                trace.reason = "no live group bucket"
+                return trace
+            if isinstance(action, GroupRef):
+                trace.reason = f"group {action.group_id} is nested in a group bucket"
+                return trace
+        if isinstance(action, Drop):
+            trace.reason = "drop rule"
+            return trace
+        if isinstance(action, PushLabelOutput):
+            label, out = action.label, action.link
+        elif isinstance(action, PopLabelOutput):
+            label, out = PRIMARY, action.link
+        elif isinstance(action, RewriteLabelOutput):
+            label, out = action.label, action.link
+        else:
+            out = action.link
+        if not scenario.link_is_live(out):
+            trace.reason = f"output link {out} is dead"
+            return trace
+        if node != out.u and node != out.v:
+            trace.reason = f"output link {out} does not touch node {node}"
+            return trace
+        if out.u < 0 or out.v >= fw.n:
+            trace.reason = f"output link {out} leads outside 0..{fw.n - 1}"
+            return trace
+        trace.steps.append(TraceStep(node, label, out))
+        trace.total_weight += out.weight
+        in_link = out
+        node = out.other(node)
+    trace.steps.append(TraceStep(node, label, None))
+    trace.outcome = DELIVERED
+    trace.crankback_weight = crankback_of(trace)
+    return trace
+
+
+def crankback_of(trace: Trace) -> float:
+    """Weight of the trace portion retracing earlier links in reverse.
+
+    Each reversed traversal consumes one matching earlier forward traversal,
+    so a link bounced twice counts twice.
+    """
+    unmatched: dict[tuple[int, int], int] = {}
+    total = 0.0
+    node = trace.src
+    for step in trace.steps:
+        if step.link is None:
+            break
+        nxt = step.link.other(node)
+        if unmatched.get((nxt, node), 0) > 0:
+            unmatched[(nxt, node)] -= 1
+            total += step.link.weight
+        else:
+            unmatched[(node, nxt)] = unmatched.get((node, nxt), 0) + 1
+        node = nxt
+    return total
+
+
 # Matrix modes whose backups are scored under node failures; the others are
 # scored under link failures.
 _NODE_FAILURE_MODES = ("per-node", "hybrid", "disjoint-node")
@@ -397,7 +527,7 @@ _NODE_FAILURE_MODES = ("per-node", "hybrid", "disjoint-node")
 
 def reference_measure(fw: ForwardingMatrix, t: Topology, network: str = "custom") -> MetricsRow:
     """``metrics.measure`` from the reference walk: every trace is walked
-    by ``simulate`` on the uncompiled ``fw``, source by source, and its
+    by ``reference_simulate`` on ``fw``, source by source, and its
     crankback recounted with ``crankback_of``.  A pair's shortest distance
     is that of a plain Dijkstra tree (``unseeded_tree``)."""
     nan = float("nan")
@@ -412,7 +542,7 @@ def reference_measure(fw: ForwardingMatrix, t: Topology, network: str = "custom"
             if d not in dist:
                 uncovered += 1
                 continue
-            primary = simulate(fw, t, NO_FAILURE, s, d)
+            primary = reference_simulate(fw, t, NO_FAILURE, s, d)
             loops += primary.outcome == "loop"
             if primary.outcome != "delivered":
                 uncovered += 1
@@ -425,7 +555,7 @@ def reference_measure(fw: ForwardingMatrix, t: Topology, network: str = "custom"
                 scenarios = [FailureScenario.link_down(a, b) for a, b in zip(path, path[1:])]
             ratios, cranks = [], []
             for scenario in scenarios:
-                trace = simulate(fw, t, scenario, s, d)
+                trace = reference_simulate(fw, t, scenario, s, d)
                 loops += trace.outcome == "loop"
                 if trace.outcome == "delivered":
                     ratios.append(trace.total_weight / dist[d])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from failover.baseline import suurballe_link_disjoint, suurballe_node_disjoint
-from failover.dataplane import simulate
+from failover.dataplane import compile_matrix, simulate
 from failover.metrics import ExperimentConfig, measure, run_experiment
 from failover.protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from failover.topology import (
@@ -75,7 +75,8 @@ def _ordered_pairs(t):
 def test_criterion_1_per_link_oracle_equivalence(protection):
     checked = 0
     for name, entry in protection.items():
-        t, fw, oracle = entry["t"], entry["per-link"], entry["oracle"]
+        t, oracle = entry["t"], entry["oracle"]
+        fw = compile_matrix(entry["per-link"], t)
         for link in t.links:
             scenario = FailureScenario.link_down(link.u, link.v)
             for s, d in _ordered_pairs(t):
@@ -95,6 +96,7 @@ def test_criterion_2_per_node_and_hybrid_oracle_equivalence(protection):
     checked = 0
     for name, entry in protection.items():
         t, oracle = entry["t"], entry["oracle"]
+        compiled = {variant: compile_matrix(entry[variant], t) for variant in ("per-node", "hybrid")}
         for v in t.nodes:
             scenario = FailureScenario.node_down(v)
             for s, d in _ordered_pairs(t):
@@ -104,7 +106,7 @@ def test_criterion_2_per_node_and_hybrid_oracle_equivalence(protection):
                     ("per-node", oracle.per_node(v, s, d)),
                     ("hybrid", oracle.hybrid_node(v, s, d)),
                 ):
-                    trace = simulate(entry[variant], t, scenario, s, d)
+                    trace = simulate(compiled[variant], t, scenario, s, d)
                     assert trace.outcome != "loop", (name, variant, v, s, d)
                     assert trace.delivered == (expect is not None), (name, variant, v, s, d)
                     if expect is not None:
@@ -137,7 +139,7 @@ def test_criterion_3_loop_freedom(protection, desk_experiment):
             ("hybrid-opt", link_scenarios + node_scenarios),
         )
         for variant, scenarios in plans:
-            fw = entry[variant]
+            fw = compile_matrix(entry[variant], t)
             for scenario in scenarios:
                 for s, d in _ordered_pairs(t):
                     if not scenario.node_is_live(s):
@@ -263,6 +265,7 @@ def test_criterion_8_optimization_soundness(protection):
             if pops:
                 assert opt.rule_count() < raw.rule_count(), (name, raw_key)
                 shrunk += 1
+            raw, opt = compile_matrix(raw, t), compile_matrix(opt, t)
             for scenario in scenarios + [NO_FAILURE]:
                 for s, d in _ordered_pairs(t):
                     if not scenario.node_is_live(s):

@@ -18,7 +18,7 @@ from failover.baseline import (
     suurballe_link_disjoint,
     suurballe_node_disjoint,
 )
-from failover.dataplane import simulate
+from failover.dataplane import compile_matrix, simulate
 from failover.spf import DisconnectedTopologyError, shortest_tree
 from failover.topology import (
     FailureScenario,
@@ -287,7 +287,7 @@ class TestDisjointRules:
     def test_delivery_under_all_on_path_link_failures(self):
         for seed in range(5):
             t = generate_erdos_renyi(8, seed)
-            fw = disjoint_rules(t, "link")
+            fw = compile_matrix(disjoint_rules(t, "link"), t)
             for s in t.nodes:
                 for d in t.nodes:
                     if s == d:
@@ -312,7 +312,7 @@ class TestDisjointRules:
 def test_node_variant_delivery_under_all_on_path_node_failures():
     for seed in range(5):
         t = generate_erdos_renyi(8, seed)
-        fw = disjoint_rules(t, "node")
+        fw = compile_matrix(disjoint_rules(t, "node"), t)
         for s in t.nodes:
             for d in t.nodes:
                 if s == d:

@@ -7,8 +7,11 @@ import json
 import pytest
 
 from failover.cli import main
-from failover.metrics import CSV_HEADER, build_variant
-from failover.topology import load_topology
+from failover.metrics import ALL_VARIANTS, CSV_HEADER, build_variant
+from failover.rules import ForwardingMatrix
+from failover.topology import NO_FAILURE, FailureScenario, load_topology
+
+from oracles import reference_simulate
 
 
 def test_generate_compute_simulate_pipeline(tmp_path, capsys):
@@ -44,6 +47,34 @@ def test_simulate_exit_code_on_drop(tmp_path, capsys):
     assert code == 1  # destination is the failed node
     # The group's second bucket is the drop installed for a failed destination.
     assert out.splitlines()[-1] == "dropped total=0.0 crankback=0.0 reason=drop rule"
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_simulate_prints_the_reference_trace(tmp_path, capsys, variant):
+    # A pair whose path has three hops, so that a failure past its first
+    # hop makes the disjoint baselines crank back.
+    topo, matrix = tmp_path / "topo.txt", tmp_path / "matrix.json"
+    assert main(["generate", "--kind", "er", "-n", "10", "--seed", "3", "--out", str(topo)]) == 0
+    assert main(["compute", "--topology", str(topo), "--variant", variant,
+                 "--out", str(matrix)]) == 0
+    t = load_topology(topo)
+    fw = ForwardingMatrix.loads(matrix.read_text(), t)
+    src, dst, path = next((s, d, path) for s in t.nodes for d in t.nodes if s != d
+                          for path in [reference_simulate(fw, t, NO_FAILURE, s, d).node_sequence]
+                          if len(path) == 4)
+    scenarios = {
+        "none": NO_FAILURE,
+        f"link:{path[0]}-{path[1]}": FailureScenario.link_down(path[0], path[1]),
+        f"link:{path[2]}-{path[3]}": FailureScenario.link_down(path[2], path[3]),
+        f"node:{path[2]}": FailureScenario.node_down(path[2]),
+    }
+    for text, scenario in scenarios.items():
+        capsys.readouterr()
+        code = main(["simulate", "--topology", str(topo), "--matrix", str(matrix),
+                     "--scenario", text, "--src", str(src), "--dst", str(dst)])
+        expected = reference_simulate(fw, t, scenario, src, dst)
+        assert (code, capsys.readouterr().out) == (0 if expected.delivered else 1,
+                                                   expected.dump()), text
 
 
 def test_compute_no_optimize_keeps_more_rules(tmp_path):

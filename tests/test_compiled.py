@@ -1,12 +1,14 @@
-"""The compiled walk against the reference walk of ``simulate``.
+"""The compiled walk against the reference walk, ``reference_simulate``.
 
-``simulate`` on a :class:`CompiledMatrix` must return the trace the
-reference walk returns on the matrix it was compiled from: same outcome,
-reason, steps, and the same float sums to the last bit.  On a matrix without
-keyed rules the compiled walk splices in suffixes remembered from earlier
-calls toward the same destination, so it is also checked under several call
-orders on one compiled matrix, with traces and direct calls of ``walk``
-interleaved; a matrix with keyed rules must keep no memo.
+``simulate`` on a :class:`CompiledMatrix`, and on the
+:class:`ForwardingMatrix` it was compiled from (which compiles the nodes a
+packet reaches, one destination at a time), must return the trace the
+reference walk returns on that matrix: same outcome, reason, steps, and the
+same float sums to the last bit.  On a matrix without keyed rules the
+compiled walk splices in suffixes remembered from earlier calls toward the
+same destination, so it is also checked under several call orders on one
+compiled matrix, with traces and direct calls of ``walk`` interleaved; a
+matrix with keyed rules must keep no memo.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from failover.topology import (
 )
 
 from conftest import five_node_detour, square, triangle, two_connected_graphs
+from oracles import reference_simulate
 
 
 def trace_key(trace):
@@ -64,14 +67,23 @@ def every_scenario(t: Topology) -> list[FailureScenario]:
 
 
 def assert_same_traces(fw: ForwardingMatrix, t: Topology, scenarios) -> None:
+    """``simulate`` on the compiled matrix gives the reference trace of
+    every triple.  ``simulate`` on ``fw`` itself, which compiles per packet,
+    is checked under no failure and under each scenario that fails a node or
+    link of the pair's no-failure path, the walks ``measure`` takes."""
     compiled = compile_matrix(fw, t)
-    for scenario in scenarios:
-        for s in t.nodes:
-            for d in t.nodes:
-                if s != d:
-                    expected = trace_key(simulate(fw, t, scenario, s, d))
-                    assert trace_key(simulate(compiled, t, scenario, s, d)) == expected, (
-                        fw.mode, str(scenario), s, d)
+    for s in t.nodes:
+        for d in t.nodes:
+            if s == d:
+                continue
+            path = reference_simulate(fw, t, NO_FAILURE, s, d).node_sequence
+            on_path = {NO_FAILURE, *map(FailureScenario.node_down, path),
+                       *map(FailureScenario.link_down, path, path[1:])}
+            for scenario in scenarios:
+                expected = trace_key(reference_simulate(fw, t, scenario, s, d))
+                for matrix in (compiled, fw) if scenario in on_path else (compiled,):
+                    assert trace_key(simulate(matrix, t, scenario, s, d)) == expected, (
+                        type(matrix).__name__, fw.mode, str(scenario), s, d)
 
 
 @pytest.mark.parametrize(
@@ -206,8 +218,9 @@ class TestHandMadeMatrices:
         assert simulate(compiled, t, NO_FAILURE, 1, 3).outcome == "loop"
 
     def test_link_first_seen_in_a_group_bucket_after_keyed_rules(self):
-        # Keys of the rules at nodes 0 and 1 depend on the link count, which
-        # grows when node 3's group brings in a link the square lacks.
+        # Link ids are indices in ``t.links``, so the keys of the rules at
+        # nodes 0 and 1 are fixed before node 3's group names a link the
+        # square lacks, and that link is refused.
         t = square()
         fw = _ring(t, "disjoint-link")
         l01, l03, extra = t.link_between(0, 1), t.link_between(0, 3), Link(1, 3, 5.0)
@@ -215,21 +228,39 @@ class TestHandMadeMatrices:
         fw.set_rule(0, Match(PRIMARY, 3, 0, l01), Output(l03))
         fw.set_rule(3, Match(PRIMARY, 1), fw.intern_group(
             3, (Bucket(extra, Output(extra)), Bucket(l03, Output(l03)))))
-        compiled = compile_matrix(fw, t)
-        assert compiled.n_in == len(t.links) + 2
-        assert_same_traces(fw, t, every_scenario(t) + [FailureScenario.link_down(1, 3)])
-        assert simulate(compiled, t, NO_FAILURE, 0, 3).node_sequence == (0, 1, 0, 3)
-        assert simulate(compiled, t, NO_FAILURE, 3, 1).node_sequence == (3, 1)
+        message = re.escape("matrix link 1-3 is not a link of the topology")
+        for refuse in (lambda: compile_matrix(fw, t), lambda: simulate(fw, t, NO_FAILURE, 3, 1)):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+        # The walk toward 3 never compiles node 3's rules.
+        trace = simulate(fw, t, NO_FAILURE, 0, 3)
+        assert trace_key(trace) == trace_key(reference_simulate(fw, t, NO_FAILURE, 0, 3))
+        assert trace.node_sequence == (0, 1, 0, 3)
 
     def test_matrix_link_outside_topology(self):
-        # A link the topology lacks still forwards, and failing it kills it.
+        # A link the topology lacks is refused wherever a rule names it, as
+        # output, watch or incoming link: by the compile, and by a one-packet
+        # walk that reaches the rule's node.
         t = square()
-        fw = _ring(t)
-        extra = Link(0, 2, 5.0)
-        fw.set_rule(0, Match(PRIMARY, 2), Output(extra))
-        assert_same_traces(fw, t, every_scenario(t) + [FailureScenario.link_down(0, 2)])
-        trace = simulate(compile_matrix(fw, t), t, FailureScenario.link_down(0, 2), 0, 2)
-        assert trace.reason == "output link 0-2 is dead"
+        extra, l03 = Link(0, 2, 5.0), t.link_between(0, 3)
+        message = re.escape("matrix link 0-2 is not a link of the topology")
+        for place in ("output", "watch", "in_link"):
+            fw = _ring(t, "disjoint-link")
+            if place == "output":
+                fw.set_rule(0, Match(PRIMARY, 2), Output(extra))
+            elif place == "watch":
+                fw.set_rule(0, Match(PRIMARY, 2), fw.intern_group(
+                    0, (Bucket(extra, Output(l03)), Bucket(None, Output(l03)))))
+            else:
+                fw.set_rule(0, Match(PRIMARY, 2, 0, extra), Output(l03))
+            for refuse in (lambda: compile_matrix(fw, t),
+                           lambda: simulate(fw, t, NO_FAILURE, 0, 2)):
+                with pytest.raises(ValueError, match=message):
+                    refuse()
+            # 1 -> 2 -> 3 never reaches node 0.
+            trace = simulate(fw, t, NO_FAILURE, 1, 3)
+            assert trace_key(trace) == trace_key(reference_simulate(fw, t, NO_FAILURE, 1, 3))
+            assert trace.node_sequence == (1, 2, 3), place
 
 
 @pytest.mark.parametrize("broken", ["nested", "unresolved"])
@@ -251,7 +282,7 @@ def test_broken_groups_drop_only_when_reached(broken):
         compiled = compile_matrix(matrix, t)
         assert compiled.memoizable == (matrix is fw)
         assert trace_key(simulate(compiled, t, NO_FAILURE, 0, 1)) == trace_key(
-            simulate(matrix, t, NO_FAILURE, 0, 1))
+            reference_simulate(matrix, t, NO_FAILURE, 0, 1))
         for walked in (matrix, compiled):
             trace = simulate(walked, t, NO_FAILURE, 0, 2)
             assert (trace.outcome, trace.reason, trace.node_sequence) == (
@@ -306,18 +337,20 @@ def test_compile_refuses_a_rule_naming_a_node_outside_the_matrix(match):
 
 @pytest.mark.parametrize("far", [50, -1])
 def test_output_link_leading_outside_the_matrix(far):
-    # The reference walk drops the packet at node 1, which would send it
-    # there; the compile refuses the link.
+    # Such a link is not a link of the topology.  The reference walk drops
+    # the packet at node 1, which would send it there; the compile refuses
+    # the link, and so does the walk of a packet that reaches node 1.
     t = square()
     fw = _ring(t)
     out = Link(1, far, 1.0)
     fw.set_rule(1, Match(PRIMARY, 2), Output(out))
-    reason = f"output link {out} leads outside 0..3"
-    trace = simulate(fw, t, NO_FAILURE, 0, 2)
+    trace = reference_simulate(fw, t, NO_FAILURE, 0, 2)
     assert (trace.outcome, trace.reason, trace.node_sequence, trace.total_weight) == (
-        "dropped", reason, (0,), 1.0)
-    with pytest.raises(ValueError, match=re.escape(reason)):
-        compile_matrix(fw, t)
+        "dropped", f"output link {out} leads outside 0..3", (0,), 1.0)
+    message = re.escape(f"matrix link {out} is not a link of the topology")
+    for refuse in (lambda: compile_matrix(fw, t), lambda: simulate(fw, t, NO_FAILURE, 0, 2)):
+        with pytest.raises(ValueError, match=message):
+            refuse()
 
 
 PROTECTION_VARIANTS = ("per-link", "per-node", "hybrid")
@@ -345,10 +378,10 @@ def call_orders(t: Topology, scenarios, seed: int = 0) -> dict[str, list]:
 def walk_key(compiled: CompiledMatrix, scenario: FailureScenario, s: int, d: int):
     """What a direct call of ``walk`` gives for one triple, in the terms of
     ``trace_key``: the hops as the links they cross."""
-    dead_pair = (compiled.pair_ids.get((scenario.u, scenario.v), -1)
-                 if scenario.kind == "link" else -1)
+    dead_link = next((lid for link, lid in compiled.link_ids.items()
+                      if scenario.kind == "link" and link.pair == (scenario.u, scenario.v)), -1)
     dead_node = scenario.v if scenario.kind == "node" else None
-    outcome, reason, total, crankback, hops = walk(compiled, s, d, dead_pair, dead_node)
+    outcome, reason, total, crankback, hops = walk(compiled, s, d, dead_link, dead_node)
     return (outcome, reason, [hop[2] for hop in hops], repr(total), repr(crankback))
 
 
@@ -370,7 +403,7 @@ def assert_same_traces_in_every_order(fw: ForwardingMatrix, t: Topology, scenari
         for scenario, s, d in triples:
             key = (scenario, s, d)
             if key not in expected:
-                expected[key] = simulate(fw, t, scenario, s, d)
+                expected[key] = reference_simulate(fw, t, scenario, s, d)
             reference = expected[key]
             # ``walk`` wants a live source; ``simulate`` answers for a dead one.
             if rng.random() < 0.5 and scenario.node_is_live(s):
@@ -405,7 +438,7 @@ def test_returned_traces_share_no_list_with_the_memo():
     fw = build_variant(t, "per-link")
     compiled = compile_matrix(fw, t)
     scenario = FailureScenario.link_down(0, 1)
-    expected = trace_key(simulate(fw, t, scenario, 0, 15))
+    expected = trace_key(reference_simulate(fw, t, scenario, 0, 15))
     simulate(compiled, t, scenario, 0, 15).steps.clear()
     for s in t.nodes[:-1]:
         simulate(compiled, t, scenario, s, 15).steps.append(None)
@@ -419,7 +452,7 @@ def test_threads_sharing_one_compiled_matrix():
     fw = build_variant(t, "hybrid")
     compiled = compile_matrix(fw, t)
     scenarios = every_scenario(t)
-    expected = {(d, s, sc): trace_key(simulate(fw, t, sc, s, d))
+    expected = {(d, s, sc): trace_key(reference_simulate(fw, t, sc, s, d))
                 for d in t.nodes for s in t.nodes if s != d for sc in scenarios}
     mismatches = []
 
@@ -461,7 +494,7 @@ class TestMemoizedWalk:
         compiled = compile_matrix(fw, t)
         simulate(compiled, t, NO_FAILURE, 0, 3)
         trace = simulate(compiled, t, NO_FAILURE, 1, 3)
-        assert trace_key(trace) == trace_key(simulate(fw, t, NO_FAILURE, 1, 3))
+        assert trace_key(trace) == trace_key(reference_simulate(fw, t, NO_FAILURE, 1, 3))
         assert trace.node_sequence == (1, 0, 1, 0, 4, 3)
         assert trace.crankback_weight > 0
         assert_same_traces_in_every_order(fw, t, every_scenario(t))
@@ -480,7 +513,7 @@ class TestMemoizedWalk:
         for s in (0, 2, 1, 2, 0):
             trace = simulate(compiled, t, NO_FAILURE, s, 3)
             assert trace.outcome == "loop"
-            assert trace_key(trace) == trace_key(simulate(fw, t, NO_FAILURE, s, 3))
+            assert trace_key(trace) == trace_key(reference_simulate(fw, t, NO_FAILURE, s, 3))
         assert simulate(compiled, t, NO_FAILURE, 2, 3).node_sequence == (2, 1, 0, 1)
         assert_same_traces_in_every_order(fw, t, every_scenario(t))
 
@@ -493,7 +526,7 @@ class TestMemoizedWalk:
         compiled = compile_matrix(fw, t)
         for s in (1, 2, 3):
             assert trace_key(simulate(compiled, t, NO_FAILURE, s, 0)) == trace_key(
-                simulate(fw, t, NO_FAILURE, s, 0))
+                reference_simulate(fw, t, NO_FAILURE, s, 0))
         trace = simulate(compiled, t, NO_FAILURE, 2, 0)
         assert (trace.node_sequence, trace.reason, trace.total_weight) == ((2,), "drop rule", 1.0)
         assert_same_traces_in_every_order(fw, t, every_scenario(t))
@@ -530,7 +563,8 @@ class TestMemoizedWalk:
         for dst in (9, 99, -1):
             for src in t.nodes:
                 trace = simulate(compiled, t, NO_FAILURE, src, dst)
-                assert trace_key(trace) == trace_key(simulate(fw, t, NO_FAILURE, src, dst))
+                assert trace_key(trace) == trace_key(
+                    reference_simulate(fw, t, NO_FAILURE, src, dst))
                 assert (trace.outcome, trace.reason) == ("dropped", "no matching rule")
 
 
@@ -569,8 +603,10 @@ def random_matrix(t: Topology, rng: random.Random) -> ForwardingMatrix:
 @settings(max_examples=40, deadline=None)
 @given(t=two_connected_graphs(), seed=st.integers(0, 2**16))
 def test_memoized_walk_matches_reference_on_random_graphs(t, seed):
-    assert_same_traces_in_every_order(random_matrix(t, random.Random(seed)), t,
-                                      every_scenario(t), seed)
+    # ``assert_same_traces`` also walks the matrix one packet at a time.
+    fw = random_matrix(t, random.Random(seed))
+    assert_same_traces(fw, t, every_scenario(t))
+    assert_same_traces_in_every_order(fw, t, every_scenario(t), seed)
     # The protection builders reject zero-weight links (see the test below),
     # so they get the graph with its zero weights set to one.
     positive = Topology(t.n, [Link(link.u, link.v, link.weight or 1.0) for link in t.links])

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from failover.baseline import disjoint_rules
-from failover.dataplane import compile_matrix, crankback_of, simulate
+from failover.dataplane import compile_matrix, simulate
 from failover.metrics import measure
 from failover.protect import per_link_rules, per_node_rules
 from failover.rules import ForwardingMatrix, Match, Output, PRIMARY
 from failover.topology import FailureScenario, NO_FAILURE, generate_erdos_renyi
 
 from conftest import five_node_detour, square, triangle
+from oracles import crankback_of
 
 
 class TestSimulate:
@@ -51,6 +54,15 @@ class TestSimulate:
             compile_matrix(fw, t)
         with pytest.raises(ValueError, match=message):
             measure(fw, t)
+
+    @pytest.mark.parametrize("src", [-1, 9])
+    def test_a_source_outside_the_topology_is_refused(self, src):
+        t = generate_erdos_renyi(9, 1)
+        fw = per_link_rules(t)
+        message = re.escape(f"node {src} is not in the topology (nodes 0..8)")
+        for walked in (fw, compile_matrix(fw, t)):
+            with pytest.raises(ValueError, match=message):
+                simulate(walked, t, NO_FAILURE, src, 3)
 
     def test_failed_source_never_forwards(self, unit_square):
         fw = per_node_rules(unit_square)

@@ -16,13 +16,14 @@ import threading
 import pytest
 
 from failover.cli import main
-from failover.dataplane import compile_matrix
+from failover.dataplane import compile_matrix, simulate
 from failover.metrics import ALL_VARIANTS, build_variant, measure
 from failover.rules import ForwardingMatrix
 from failover.topology import (
     generate_erdos_renyi,
     generate_lattice,
     generate_waxman,
+    NO_FAILURE,
     save_topology,
     unit_weights,
 )
@@ -184,5 +185,7 @@ def test_matrix_work_leaves_no_reference_cycles(collector, make):
         assert gc.collect() == 0, f"from_json {variant}"
         compile_matrix(fw, t)
         assert gc.collect() == 0, f"compile_matrix {variant}"
+        simulate(fw, t, NO_FAILURE, 0, t.n - 1)
+        assert gc.collect() == 0, f"simulate {variant}"
         measure(fw, t, "er")
         assert gc.collect() == 0, f"measure {variant}"

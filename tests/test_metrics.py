@@ -8,7 +8,7 @@ from statistics import fmean
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failover.dataplane import simulate
+from failover.dataplane import compile_matrix, simulate
 from failover.metrics import (
     ALL_VARIANTS,
     CSV_HEADER,
@@ -118,8 +118,8 @@ class TestMeasure:
 
     def test_hybrid_equals_per_link_under_link_failures(self, corpus):
         for _name, t in corpus[:9]:
-            fwh = hybrid_rules(t)
-            fwl = per_link_rules(t)
+            fwh = compile_matrix(hybrid_rules(t), t)
+            fwl = compile_matrix(per_link_rules(t), t)
             for link in t.links:
                 scenario = FailureScenario.link_down(link.u, link.v)
                 for s in t.nodes:

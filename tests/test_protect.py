@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failover.dataplane import simulate
+from failover.dataplane import compile_matrix, simulate
 from failover.metrics import ALL_VARIANTS, build_variant
 from failover.protect import hybrid_rules, optimize, per_link_rules, per_node_rules
 from failover.rules import (
@@ -82,7 +82,7 @@ class TestPerLink:
     def test_detour_optimality_on_small_corpus(self, corpus):
         for name, t in corpus[:9]:
             oracle = DetourOracle(t)
-            fw = per_link_rules(t)
+            fw = compile_matrix(per_link_rules(t), t)
             for link in t.links:
                 scenario = FailureScenario.link_down(link.u, link.v)
                 for s in t.nodes:
@@ -166,7 +166,7 @@ class TestHybrid:
 
     def test_node_failure_delivery_across_corpus(self, corpus):
         for name, t in corpus[:9]:
-            fw = hybrid_rules(t)
+            fw = compile_matrix(hybrid_rules(t), t)
             oracle = DetourOracle(t)
             for v in t.nodes:
                 scenario = FailureScenario.node_down(v)
@@ -218,7 +218,8 @@ class TestOptimize:
             (hybrid_rules, "node"),
         ):
             fw = build(t)
-            opt = optimize(fw, t)
+            opt = compile_matrix(optimize(fw, t), t)
+            fw = compile_matrix(fw, t)
             for scenario in all_scenarios(t, family) + [NO_FAILURE]:
                 for s in t.nodes:
                     for d in t.nodes:
@@ -264,7 +265,8 @@ class TestMatrixDeterminism:
         t = hybrid_upgrade_instance()
         fw = optimize(hybrid_rules(t), t)
         data = json.loads(json.dumps(fw.to_json()))
-        again = ForwardingMatrix.from_json(data, t)
+        again = compile_matrix(ForwardingMatrix.from_json(data, t), t)
+        fw = compile_matrix(fw, t)
         for scenario in all_scenarios(t, "node"):
             for s in t.nodes:
                 for d in t.nodes:
@@ -279,7 +281,7 @@ def test_primary_rules_stay_optimal(corpus):
     for _name, t in corpus[:9]:
         trees = all_shortest_trees(t)
         for build in (per_link_rules, per_node_rules, hybrid_rules):
-            fw = build(t)
+            fw = compile_matrix(build(t), t)
             for s in t.nodes:
                 for d in t.nodes:
                     if s == d:
@@ -309,7 +311,7 @@ def test_loop_freedom_node_label_pairs_never_repeat(corpus):
             (per_node_rules, "node"),
             (hybrid_rules, "node"),
         ):
-            fw = build(t)
+            fw = compile_matrix(build(t), t)
             for scenario in all_scenarios(t, family):
                 for s in t.nodes:
                     for d in t.nodes:

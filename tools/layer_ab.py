@@ -16,12 +16,14 @@ as its own row, ``trees``.  A run keeps each row's smallest time over
 
 Runs come in ``PAIRS`` pairs, the side that goes first alternating from
 pair to pair.  The tool prints, per row and for their sum, each side's
-median CPU seconds, the ratio change/parent of the medians and the number
-of pairs in which the change was faster (ties count for neither side), and
-last one JSON line with the same figures.  CPU time is blind to what other
-processes on the machine do to wall time, so it is the second witness for a
-per-layer move that the traced wall-time spans of ``perfbench/run.py``
-cannot settle alone.
+median CPU seconds, the ratio change/parent of the medians, the parent's
+own spread across its runs (its interquartile range over its median: a
+ratio closer to 1 than that is noise, not a move) and the number of pairs
+in which the change was faster (ties count for neither side), and last one
+JSON line with the same figures and the parent's quartiles.  CPU time is
+blind to what other processes on the machine do to wall time, so it is the
+second witness for a per-layer move that the traced wall-time spans of
+``perfbench/run.py`` cannot settle alone.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def run_once(root: Path, workload: str, seed: int, op: str) -> dict[str, float]:
 
 def summarise(runs: dict[str, list[dict[str, float]]]) -> dict[str, dict]:
     """Per row and for ``total``: each side's median, the ratio of the
-    medians and the pairs the change won."""
+    medians, the parent's quartiles and spread, and the pairs the change
+    won."""
     for side in runs.values():
         for run in side:
             run["total"] = sum(run.values())
@@ -92,10 +95,14 @@ def summarise(runs: dict[str, list[dict[str, float]]]) -> dict[str, dict]:
     for name in runs["parent"][0]:
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        median = statistics.median(parent)
         summary[name] = {
-            "parent_s": statistics.median(parent),
+            "parent_s": median,
             "change_s": statistics.median(change),
-            "ratio": statistics.median(change) / statistics.median(parent),
+            "ratio": statistics.median(change) / median,
+            "parent_quartiles": [q1, q3],
+            "parent_spread": (q3 - q1) / median,
             "change_wins": sum(c < p for p, c in zip(parent, change)),
         }
     return summary
@@ -119,10 +126,10 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
     summary = summarise(runs)
     print(f"{args.op} on {args.workload} seed {args.seed}: CPU s, median of {PAIRS} pairs")
-    print(f"{'row':<14} {'parent':>8} {'change':>8} {'ratio':>7} {'wins':>6}")
+    print(f"{'row':<14} {'parent':>8} {'change':>8} {'ratio':>7} {'spread':>7} {'wins':>6}")
     for name, row in summary.items():
         print(f"{name:<14} {row['parent_s']:8.3f} {row['change_s']:8.3f} {row['ratio']:7.3f} "
-              f"{row['change_wins']:>3}/{PAIRS}")
+              f"{row['parent_spread']:7.3f} {row['change_wins']:>3}/{PAIRS}")
     print(json.dumps({"op": args.op, "workload": args.workload, "seed": args.seed,
                       "summary": summary, "runs": runs}, sort_keys=True))
     return 0
